@@ -79,10 +79,13 @@ def _resolve_seed(flag_value) -> int:
 
 
 def _read_json(path: str):
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        if path == "-":
+            return json.load(sys.stdin)
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except RecursionError:
+        raise OSError(f"{path}: JSON nests too deeply to parse") from None
 
 
 def _certificate_json(spec, cert) -> dict:

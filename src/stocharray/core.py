@@ -342,7 +342,7 @@ def from_json_dict(obj: Mapping) -> tuple:
         kind, n, d, entries = obj["kind"], obj["n"], obj["d"], obj["entries"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"missing array field: {exc}") from None
-    if not isinstance(n, int) or not isinstance(d, int):
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, d)):
         raise ValueError("n and d must be integers")
     spec = PolytopeSpec(kind, n, d)
 
@@ -351,7 +351,10 @@ def from_json_dict(obj: Mapping) -> tuple:
             return [decode(y) for y in x]
         return fraction_from_json(x)
 
-    A = Array3.from_nested(decode(entries))
+    try:
+        A = Array3.from_nested(decode(entries))
+    except RecursionError:
+        raise ValueError("entries nest too deeply") from None
     if A.n != n or A.d != d:
         raise ValueError("entries shape disagrees with declared n, d")
     return spec, A

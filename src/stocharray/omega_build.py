@@ -16,9 +16,10 @@ is not a Latin square.  The layers along the third axis are:
 
 Each stage is exposed on its own, operating on a PartialArray of decided
 layers; `construct_vertex` chains them.  Success is guaranteed for even
-n >= 10; smaller even orders are attempted and may raise
-ConstructionError.  The result is re-certified through both the graph
-and the rank criteria before being returned.
+n >= 10; orders 6 and 8 are attempted and may raise ConstructionError,
+and smaller orders are refused, as no odd-cycle plant ever fits there.
+The result is re-certified through both the graph and the rank criteria
+before being returned.
 """
 
 from __future__ import annotations
@@ -329,11 +330,12 @@ def construct_vertex(n: int, seed: int = 0) -> tuple:
 
     Returns (array, certificate) where the certificate is the rank-based
     one; the graph criterion is evaluated as well and the two must agree.
-    Raises ValueError for odd or tiny n and ConstructionError when the
-    randomized pipeline fails (possible only for even n < 10).
+    Raises ValueError for odd n or n < 6, where the odd-cycle plant has
+    no room, and ConstructionError when the randomized pipeline fails
+    (possible only for even n < 10).
     """
-    if n % 2 or n < 4:
-        raise ValueError("order must be even and >= 4")
+    if n % 2 or n < 6:
+        raise ValueError("order must be even and >= 6")
     rng = random.Random(seed)
 
     X = build_double_latin(n, rng)

@@ -71,17 +71,6 @@ def gaussian_objective(spec: PolytopeSpec, seed: int) -> Objective:
     return Objective(spec, tuple(coeffs), seed)
 
 
-def support_bound(spec: PolytopeSpec) -> int:
-    """Support cap for vertices of the line-stochastic family.
-
-    Every vertex has at most n^(d+1) - (n-1)^(d+1) nonzero cells, the
-    rank of the constraint system.
-    """
-    if spec.kind != "omega":
-        raise ValueError("the closed-form support cap covers the line-stochastic family")
-    return spec.n ** (spec.d + 1) - (spec.n - 1) ** (spec.d + 1)
-
-
 def vertex_count_upper_bound(n: int, d: int) -> dict:
     """Log-scale cap on how many vertices the line-stochastic polytope has.
 
@@ -151,17 +140,19 @@ def maximize(spec: PolytopeSpec, objective: Objective) -> tuple:
     if objective.spec != spec:
         raise ValueError("objective was built for a different polytope")
     rows, dropped = reduced_constraints(spec)
-    res = solve_lp([list(r) for r in rows], [1] * len(rows), list(objective.coefficients))
+    res = solve_lp(rows, [1] * len(rows), objective.coefficients)
     if res.status != "optimal":
         raise RuntimeError(f"polytope LP reported {res.status}")
     A = Array3(spec.n, spec.d, res.solution)
-    assert is_member(A, spec), "optimum violates the full constraint system"
+    if not is_member(A, spec):
+        raise RuntimeError("optimum violates the full constraint system")
     for cells in dropped:
-        assert sum((A[c] for c in cells), Fraction(0)) == 1, (
-            "optimum violates a dropped constraint"
-        )
-    assert objective.value_at(A) == res.objective
-    assert res.objective >= objective.value_at(uniform_array(spec))
+        if sum((A[c] for c in cells), Fraction(0)) != 1:
+            raise RuntimeError("optimum violates a dropped constraint")
+    if objective.value_at(A) != res.objective:
+        raise RuntimeError("reported optimum value disagrees with the recomputed one")
+    if res.objective < objective.value_at(uniform_array(spec)):
+        raise RuntimeError("reported optimum is below the value at the uniform array")
     return A, res.objective
 
 

@@ -18,6 +18,7 @@ from stocharray.bounds import (
     factorial_lower_bound,
     permanent,
     rowsum_bound_holds,
+    support_size_bound,
 )
 from stocharray.certify import (
     build_support_graph,
@@ -45,7 +46,7 @@ from stocharray.designs import (
     two_factor_containing_path,
 )
 from stocharray.omega_build import construct_vertex, random_single_cycle
-from stocharray.sample import gaussian_objective, maximize, support_bound
+from stocharray.sample import gaussian_objective, maximize
 from stocharray.sigma_build import construct_sigma_vertex
 
 HALF = Fraction(1, 2)
@@ -256,7 +257,7 @@ def test_criterion_09():
     alphas = {}
     for n, trials in trial_plan:
         spec = PolytopeSpec("omega", n, 2)
-        cap = support_bound(spec)
+        cap = support_size_bound(spec)
         supports = []
         for seed in range(trials):
             A, _ = maximize(spec, gaussian_objective(spec, seed))

@@ -14,6 +14,7 @@ from stocharray.core import PolytopeSpec, to_json_dict, uniform_array
 GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
 OMEGA_GOLDEN = str(GOLDENS / "omega-3x3x3.json")
 SIGMA_GOLDEN = str(GOLDENS / "sigma-2x2x2.json")
+SAMPLE_GOLDEN = GOLDENS / "sample-omega-n4-seed7.json"
 
 
 def run(capsys, *argv):
@@ -115,6 +116,20 @@ def test_verify_invalid_document(capsys, tmp_path):
     path.write_text(json.dumps({"kind": "omega", "n": 2}), encoding="utf-8")
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2 and "invalid parameters" in err
+    path.write_text(
+        json.dumps({"kind": "omega", "n": True, "d": 1, "entries": [[1]]}), encoding="utf-8"
+    )
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 2 and "integers" in err
+
+
+def test_deeply_nested_input_is_an_input_failure(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, _, err = run(capsys, "verify", str(path))
+    assert code == 3 and "nests too deeply" in err
+    code, _, err = run(capsys, "bounds", "permanent", str(path))
+    assert code == 3 and "nests too deeply" in err
 
 
 # ─── enumerate ───────────────────────────────────────────────────────────────
@@ -151,6 +166,8 @@ def test_construct_error_codes(capsys):
     code, _, err = run(capsys, "construct", "omega", "--n", "9")
     assert code == 2
     code, _, err = run(capsys, "construct", "omega", "--n", "4")
+    assert code == 2 and "invalid parameters" in err
+    code, _, err = run(capsys, "construct", "omega", "--n", "6", "--seed", "46")
     assert code == 1 and "construction failed" in err
     code, _, _ = run(capsys, "construct", "omega", "--n", "6", "--count", "0")
     assert code == 2
@@ -324,9 +341,22 @@ def test_verbose_goes_to_stderr_only(capsys):
 
 
 def test_every_golden_fixture_reverifies(capsys):
-    fixtures = sorted(GOLDENS.glob("*.json"))
+    fixtures = sorted(p for p in GOLDENS.glob("*.json") if p != SAMPLE_GOLDEN)
     assert len(fixtures) == 3
     for path in fixtures:
         payload = run_json(capsys, "verify", str(path))
         assert payload["member"] is True
         assert payload["is_vertex"] is True, f"{path.name} failed"
+
+
+def test_construct_prints_the_committed_golden_bytes(capsys):
+    _, out, _ = run(capsys, "construct", "omega", "--n", "10", "--seed", "1")
+    assert out == (GOLDENS / "omega-n10-seed1.json").read_text(encoding="utf-8")
+
+
+def test_sample_prints_the_committed_golden_bytes(capsys):
+    _, out, _ = run(
+        capsys, "sample", "--kind", "omega", "--n", "4", "--d", "2",
+        "--trials", "5", "--seed", "7",
+    )
+    assert out == SAMPLE_GOLDEN.read_text(encoding="utf-8")

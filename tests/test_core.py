@@ -211,6 +211,15 @@ def test_json_dict_errors():
     with pytest.raises(ValueError):
         from_json_dict({"kind": "omega", "n": "2", "d": 1, "entries": [[1, 0], [0, 1]]})
     with pytest.raises(ValueError):
+        from_json_dict({"kind": "omega", "n": True, "d": 1, "entries": [[1]]})
+    with pytest.raises(ValueError):
+        from_json_dict({"kind": "omega", "n": 2, "d": True, "entries": [[1, 0], [0, 1]]})
+    deep = [1]
+    for _ in range(5000):
+        deep = [deep]
+    with pytest.raises(ValueError, match="nest too deeply"):
+        from_json_dict({"kind": "omega", "n": 1, "d": 1, "entries": deep})
+    with pytest.raises(ValueError):
         from_json_dict({"kind": "omega", "n": 3, "d": 1, "entries": [[1, 0], [0, 1]]})
     with pytest.raises(ValueError):
         to_json_dict(PolytopeSpec("omega", 2, 1), Array3.zeros(3, 1))

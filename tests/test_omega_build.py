@@ -230,8 +230,10 @@ def test_construct_vertex_error_taxonomy():
         construct_vertex(7)
     with pytest.raises(ValueError):
         construct_vertex(2)
-    with pytest.raises(ConstructionError):
+    with pytest.raises(ValueError):
         construct_vertex(4, 0)
+    with pytest.raises(ConstructionError):
+        construct_vertex(6, 46)
 
 
 def test_assemble_from_layers_guards():

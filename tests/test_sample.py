@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from stocharray.bounds import log_of_int
+from stocharray import sample
+from stocharray.bounds import log_of_int, support_size_bound
 from stocharray.core import PolytopeSpec, flat_index, latin_to_array, uniform_array
 from stocharray.designs import random_latin
 from stocharray.sample import (
@@ -17,9 +18,9 @@ from stocharray.sample import (
     maximize,
     reduced_constraints,
     run_experiment,
-    support_bound,
     vertex_count_upper_bound,
 )
+from stocharray.simplex import SimplexResult
 
 
 def test_objective_validation_and_value():
@@ -54,11 +55,10 @@ def test_gaussian_objective_is_roughly_standard_normal():
 
 
 def test_support_bound_values():
-    assert support_bound(PolytopeSpec("omega", 3, 2)) == 19
-    assert support_bound(PolytopeSpec("omega", 2, 1)) == 3
-    assert support_bound(PolytopeSpec("omega", 10, 2)) == 271
-    with pytest.raises(ValueError):
-        support_bound(PolytopeSpec("sigma", 3, 2))
+    assert support_size_bound(PolytopeSpec("omega", 3, 2)) == 19
+    assert support_size_bound(PolytopeSpec("omega", 2, 1)) == 3
+    assert support_size_bound(PolytopeSpec("omega", 10, 2)) == 271
+    assert support_size_bound(PolytopeSpec("sigma", 3, 2)) == 7
 
 
 def test_vertex_count_upper_bound():
@@ -121,6 +121,26 @@ def test_maximize_recovers_planted_latin_optimum():
     B, value = maximize(spec, Objective(spec, tuple(coeffs)))
     assert value == 9  # nine cells each contribute their full unit mass
     assert B == A
+
+
+def test_maximize_rejects_a_wrong_optimum(monkeypatch):
+    """The checks on the solver's answer are explicit, so they hold under python -O."""
+    spec = PolytopeSpec("omega", 3, 2)
+    obj = gaussian_objective(spec, 4)
+    A, value = maximize(spec, obj)
+    worst, minus_low = maximize(spec, Objective(spec, tuple(-c for c in obj.coefficients)))
+    off = list(A.entries)
+    off[0] += 1
+    cases = [
+        (off, value, "full constraint system"),
+        (A.entries, value + 1, "recomputed"),
+        (worst.entries, -minus_low, "uniform array"),
+    ]
+    for solution, reported, message in cases:
+        result = SimplexResult("optimal", reported, tuple(solution), 0)
+        monkeypatch.setattr(sample, "solve_lp", lambda rows, rhs, c, r=result: r)
+        with pytest.raises(RuntimeError, match=message):
+            maximize(spec, obj)
 
 
 def test_maximize_spec_mismatch():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from stocharray import simplex
 from stocharray.core import PolytopeSpec, constraint_cell_groups, flat_index
 from stocharray.simplex import SimplexResult, solve_lp
 
@@ -44,6 +45,15 @@ def test_infeasible():
     assert res.objective is None and res.solution is None
     # negative right-hand side with nonnegative row is also infeasible
     assert solve_lp([[1, 1]], [-1], [0, 0]).status == "infeasible"
+
+
+def test_infeasible_system_solved_twice():
+    """The cached phase-1 verdict is reused without turning feasible."""
+    rows, rhs = [[1, 2, 0], [2, 4, 0]], [1, 3]
+    first = solve_lp(rows, rhs, [1, 0, 0])
+    second = solve_lp(rows, rhs, [0, 1, 1])
+    assert first.status == second.status == "infeasible"
+    assert second.objective is None and second.solution is None
 
 
 def test_unbounded():
@@ -106,19 +116,55 @@ def enumerate_basic_optimum(rows, rhs, objective):
     return best
 
 
+BEALE_ROWS = [
+    [Fraction(1, 4), -8, -1, 9, 1, 0, 0],
+    [Fraction(1, 2), -12, Fraction(-1, 2), 3, 0, 1, 0],
+    [0, 0, 1, 0, 0, 0, 1],
+]
+BEALE_RHS = [0, 0, 1]
+BEALE_OBJECTIVE = [Fraction(3, 4), -20, Fraction(1, 2), -6, 0, 0, 0]
+
+
 def test_degenerate_lp_with_bland_terminates():
-    """A classical cycling-prone tableau: Bland's rule must still finish."""
-    rows = [
-        [Fraction(1, 4), -8, -1, 9, 1, 0, 0],
-        [Fraction(1, 2), -12, Fraction(-1, 2), 3, 0, 1, 0],
-        [0, 0, 1, 0, 0, 0, 1],
-    ]
-    rhs = [0, 0, 1]
-    objective = [Fraction(3, 4), -20, Fraction(1, 2), -6, 0, 0, 0]
+    """A classical cycling-prone tableau: the solver must still finish."""
+    rows, rhs, objective = BEALE_ROWS, BEALE_RHS, BEALE_OBJECTIVE
     res = solve_lp(rows, rhs, objective)
     assert res.status == "optimal"
     assert res.objective == enumerate_basic_optimum(rows, rhs, objective)
     assert res.objective == Fraction(5, 4)
+
+
+def test_pricing_loop_escapes_beale_cycle():
+    """From the slack basis, Dantzig pricing alone cycles; the Bland fallback finishes.
+
+    Largest-reduced-cost pricing with the least-ratio, lowest-index exit
+    revisits the slack basis after six degenerate pivots, so reaching the
+    optimum takes at least one full run of degenerate pivots first.
+    """
+    tableau = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(BEALE_ROWS, BEALE_RHS)]
+    tableau.append([Fraction(v) for v in BEALE_OBJECTIVE] + [Fraction(0)])
+    basis = [4, 5, 6]
+    bounded, pivots = simplex._optimize(tableau, basis, 7)
+    assert bounded
+    assert pivots >= simplex._DEGENERATE_RUN
+    best = enumerate_basic_optimum(BEALE_ROWS, BEALE_RHS, BEALE_OBJECTIVE)
+    assert -tableau[-1][-1] == best == Fraction(5, 4)
+
+
+def test_repeat_solves_of_one_system_match_fresh_solves():
+    """The cached phase-1 tableau is copied, never changed, by a solve."""
+    rows, rhs = doubly_stochastic_lp(3)
+    rng = random.Random(5)
+    objectives = [[Fraction(rng.randrange(-40, 41), 7) for _ in range(9)] for _ in range(2)]
+    simplex._phase_one_cache.clear()
+    cached = [solve_lp(rows, rhs, c) for c in objectives]
+    assert len(simplex._phase_one_cache) == 1
+    for c, res in zip(objectives, cached):
+        simplex._phase_one_cache.clear()
+        fresh = solve_lp(rows, rhs, c)
+        assert res.status == fresh.status == "optimal"
+        assert res.objective == fresh.objective
+        assert res.solution == fresh.solution
 
 
 def doubly_stochastic_lp(n):
