@@ -10,7 +10,9 @@ Three exact routes, all over rational arithmetic:
 
 Both decision routes return a `VertexCertificate`; negative certificates
 carry an exact witness pair (X, Y) of distinct members averaging to the
-queried point, and every witness is re-verified before it is returned.
+queried point.  The rank route runs one sparse exact elimination
+(`linalg.eliminate`).  Kernel vectors and witnesses are re-verified
+before they are returned, raising `CertificateError` on failure.
 """
 
 from __future__ import annotations
@@ -20,17 +22,14 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from stocharray.core import (
-    HALF,
-    Array3,
-    PolytopeSpec,
-    constraint_cell_groups,
-    flat_index,
-    is_member,
-)
-from stocharray.linalg import bareiss_echelon, kernel_vector_int, solve_unique
+from stocharray.core import HALF, Array3, PolytopeSpec, cell_groups, is_member
+from stocharray.linalg import SparseBasis, eliminate, solve_unique
 
 ONE = Fraction(1)
+
+
+class CertificateError(RuntimeError):
+    """A certificate failed its own re-verification: a bug, never bad input."""
 
 
 @dataclass(frozen=True)
@@ -100,9 +99,9 @@ def _require_half_integral_member(A: Array3, spec: PolytopeSpec) -> None:
         raise ValueError("array shape does not match the polytope")
     if not is_member(A, spec):
         raise ValueError("array is not a member of the polytope")
-    for c in A.support():
-        if A[c] not in (HALF, ONE):
-            raise ValueError(f"entry at {c} is {A[c]}, not in {{0, 1/2, 1}}")
+    for c, i in zip(A.support(), A.support_indices()):
+        if A.entries[i] not in (HALF, ONE):
+            raise ValueError(f"entry at {c} is {A.entries[i]}, not in {{0, 1/2, 1}}")
 
 
 def _mode_of(spec: PolytopeSpec) -> str:
@@ -122,15 +121,20 @@ def build_support_graph(A: Array3, mode: str = "line") -> SupportGraph:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
     spec = PolytopeSpec("omega" if mode == "line" else "sigma", A.n, A.d)
     _require_half_integral_member(A, spec)
-    halves = tuple(c for c in A.support() if A[c] == HALF)
-    half_set = frozenset(halves)
+    groups = cell_groups(spec)
+    halves = []
+    members: dict = {}  # group id -> its 1/2-cells
+    for c, i in zip(A.support(), A.support_indices()):
+        if A.entries[i] == HALF:
+            halves.append(c)
+            for g in groups[i]:
+                members.setdefault(g, []).append(c)
+    halves = tuple(halves)
     edges = set()
-    for group in constraint_cell_groups(spec):
-        pair = [c for c in group if c in half_set]
-        if len(pair) == 2:
-            edges.add((min(pair), max(pair)))
-        else:
-            assert len(pair) == 0, "half-integral member with a lone 1/2 in a group"
+    for g in sorted(members):
+        pair = members[g]
+        assert len(pair) == 2, "half-integral member with a lone 1/2 in a group"
+        edges.add((min(pair), max(pair)))
 
     adj: dict = {c: [] for c in halves}
     for (u, v) in edges:
@@ -203,9 +207,9 @@ def half_integral_certificate(A: Array3, spec: PolytopeSpec) -> VertexCertificat
         if comp.is_bipartite:
             delta = {}
             for c in comp.parts[0]:
-                delta[c] = Fraction(1, 4)
+                delta[A.index(c)] = Fraction(1, 4)
             for c in comp.parts[1]:
-                delta[c] = Fraction(-1, 4)
+                delta[A.index(c)] = Fraction(-1, 4)
             X = _shift(A, delta, +1)
             Y = _shift(A, delta, -1)
             _check_witness(A, spec, X, Y)
@@ -213,52 +217,62 @@ def half_integral_certificate(A: Array3, spec: PolytopeSpec) -> VertexCertificat
     return VertexCertificate(True, "graph")
 
 
-def is_vertex_half_integral(
-    A: Array3, spec: Optional[PolytopeSpec] = None
-) -> VertexCertificate:
-    """Graph-criterion vertex test; defaults to the line-stochastic family."""
-    if spec is None:
-        spec = PolytopeSpec("omega", A.n, A.d)
-    return half_integral_certificate(A, spec)
-
-
 def _shift(A: Array3, delta: dict, sign: int) -> Array3:
-    values = {c: A[c] for c in A.support()}
-    for c, step in delta.items():
-        values[c] = values.get(c, Fraction(0)) + sign * step
-    return Array3.from_cells(A.n, A.d, values)
+    """A plus ``sign`` times ``delta``, a flat index -> step mapping."""
+    entries = list(A.entries)
+    for i, step in delta.items():
+        entries[i] += sign * step
+    return Array3(A.n, A.d, entries)
 
 
 def _check_witness(A: Array3, spec: PolytopeSpec, X: Array3, Y: Array3) -> None:
-    assert X != Y, "witness members coincide"
-    assert is_member(X, spec) and is_member(Y, spec), "witness left the polytope"
-    mid = (X + Y).scale(HALF)
-    assert mid == A, "witness midpoint is not the queried point"
+    if X == Y:
+        raise CertificateError("witness members coincide")
+    if not (is_member(X, spec) and is_member(Y, spec)):
+        raise CertificateError("witness left the polytope")
+    if (X + Y).scale(HALF) != A:
+        raise CertificateError("witness midpoint is not the queried point")
+
+
+def certify_construction(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
+    """Both certificates of a half-integral member built to be a vertex.
+
+    The support graph must be one odd component, which is exactly the
+    graph certificate's acceptance; the rank certificate must agree, and
+    is returned.
+    """
+    graph = build_support_graph(A, _mode_of(spec))
+    if not graph.is_connected or graph.has_bipartite_component:
+        raise CertificateError(
+            "construction invariant broken: support graph must be one odd component"
+        )
+    rank_cert = is_vertex_rank(A, spec)
+    if not rank_cert.is_vertex:
+        raise CertificateError("graph and rank certificates must both accept the construction")
+    return rank_cert
 
 
 # ─── rank route ──────────────────────────────────────────────────────────────
 
 
-def support_constraint_rows(A: Array3, spec: PolytopeSpec) -> tuple:
-    """0/1 rows of the constraint matrix restricted to supp(A).
+def support_columns(A: Array3, spec: PolytopeSpec) -> tuple:
+    """(columns, support): the flat indices of supp(A) in increasing order,
+    and for each the sparse constraint column {group id: 1} of its cell."""
+    groups = cell_groups(spec)
+    support = A.support_indices()
+    return [dict.fromkeys(groups[i], 1) for i in support], support
 
-    Returns (rows, support); column j of each row corresponds to
-    support[j] in lexicographic cell order.
-    """
-    support = A.support()
-    col = {c: j for j, c in enumerate(support)}
-    rows = []
-    for group in constraint_cell_groups(spec):
-        row = [0] * len(support)
-        hit = False
-        for c in group:
-            j = col.get(c)
-            if j is not None:
-                row[j] = 1
-                hit = True
-        if hit:
-            rows.append(row)
-    return rows, support
+
+def _check_kernel(columns: list, x: list) -> None:
+    if not any(x):
+        raise CertificateError("kernel vector vanished")
+    sums: dict = {}
+    for column, v in zip(columns, x):
+        if v:
+            for r, a in column.items():
+                sums[r] = sums.get(r, 0) + a * v
+    if any(sums.values()):
+        raise CertificateError("kernel vector is not in the kernel of the support columns")
 
 
 def is_vertex_rank(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
@@ -274,23 +288,17 @@ def is_vertex_rank(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
         raise ValueError("array shape does not match the polytope")
     if not is_member(A, spec):
         raise ValueError("array is not a member of the polytope")
-    rows, support = support_constraint_rows(A, spec)
-    k = len(support)
-    rank, _, _ = bareiss_echelon(rows)
-    if rank == k:
+    columns, support = support_columns(A, spec)
+    v = eliminate(columns, stop_at_dependency=True).kernel
+    if v is None:
         return VertexCertificate(True, "rank")
-    v = kernel_vector_int(rows, k)
-    assert v is not None, "rank deficit must yield a kernel vector"
-    step = None
-    for j, c in enumerate(support):
-        if v[j] == 0:
-            continue
-        room = min(ONE - A[c], A[c]) / abs(v[j])
-        assert room > 0, "kernel vector touches a saturated cell"
-        step = room if step is None else min(step, room)
-    assert step is not None and step > 0
+    _check_kernel(columns, v)
+    entries = A.entries
+    step = min(
+        min(ONE - entries[i], entries[i]) / abs(x) for i, x in zip(support, v) if x
+    )
     t = step / 2
-    delta = {c: t * v[j] for j, c in enumerate(support) if v[j]}
+    delta = {i: t * x for i, x in zip(support, v) if x}
     X = _shift(A, delta, +1)
     Y = _shift(A, delta, -1)
     _check_witness(A, spec, X, Y)
@@ -299,16 +307,12 @@ def is_vertex_rank(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
 
 @lru_cache(maxsize=None)
 def rank_of_constraints(spec: PolytopeSpec) -> int:
-    """Rank of the full constraint matrix (all cells as columns)."""
-    n_cols = spec.total_cells
-    rows = []
-    for group in constraint_cell_groups(spec):
-        row = [0] * n_cols
-        for c in group:
-            row[flat_index(spec.n, spec.d, c)] = 1
-        rows.append(row)
-    rank, _, _ = bareiss_echelon(rows)
-    return rank
+    """Rank of the full constraint matrix (all cells as columns), from its rows."""
+    rows = [{} for _ in range(spec.group_count)]
+    for i, groups in enumerate(cell_groups(spec)):
+        for g in groups:
+            rows[g][i] = 1
+    return eliminate(rows).rank
 
 
 def polytope_dimension(spec: PolytopeSpec) -> int:
@@ -319,7 +323,7 @@ def polytope_dimension(spec: PolytopeSpec) -> int:
 # ─── exhaustive enumeration ──────────────────────────────────────────────────
 
 
-def enumerate_vertices(spec: PolytopeSpec, max_cells: int = 32) -> list:
+def enumerate_vertices(spec: PolytopeSpec, max_cells: int = 16) -> list:
     """All vertices of a small instance, by exhaustive support search.
 
     Every vertex is the unique solution supported on some linearly
@@ -327,55 +331,44 @@ def enumerate_vertices(spec: PolytopeSpec, max_cells: int = 32) -> list:
     independent column subsets (attempting an exact solve whenever the
     chosen cells touch every constraint group) finds each vertex exactly
     once, at its own support.  Each reported array is re-checked with the
-    rank criterion.
+    rank criterion.  The scan is exponential in the cell count: 16 cells
+    take seconds, while 25 or 27 take minutes to hours, so larger
+    instances are refused.
     """
     if spec.d > 2:
         raise ValueError("enumeration supports d in {1, 2} only")
     N = spec.total_cells
     if N > max_cells:
-        raise ValueError(f"instance has {N} cells; enumeration capped at {max_cells}")
-    groups = constraint_cell_groups(spec)
-    m = len(groups)
-    cells = sorted({c for g in groups for c in g})
-    assert len(cells) == N
-    col_of = {c: j for j, c in enumerate(cells)}
+        raise ValueError(
+            f"instance has {N} cells; enumeration is capped at {max_cells} cells"
+        )
+    m = spec.group_count
+    groups = cell_groups(spec)
+    columns = [dict.fromkeys(gs, 1) for gs in groups]
     # column j as a bitmask over the m groups
-    col_mask = [0] * N
-    for r, group in enumerate(groups):
-        for c in group:
-            col_mask[col_of[c]] |= 1 << r
+    col_mask = [sum(1 << g for g in gs) for gs in groups]
     full = (1 << m) - 1
     # last column index that can still cover each group
-    last_col = [max(col_of[c] for c in g) for g in groups]
-
-    rows_int = [[1 if (col_mask[j] >> r) & 1 else 0 for j in range(N)] for r in range(m)]
+    last_col = [0] * m
+    for j, gs in enumerate(groups):
+        for g in gs:
+            last_col[g] = j
 
     found = []
     chosen: list = []
-    basis: list = []  # reduced column vectors, as (pivot_row, Fraction list)
-
-    def independent_after_add(j: int) -> bool:
-        vec = [Fraction(rows_int[r][j]) for r in range(m)]
-        for pivot, bvec in basis:
-            if vec[pivot]:
-                f = vec[pivot] / bvec[pivot]
-                for r in range(pivot, m):
-                    vec[r] -= f * bvec[r]
-        for r in range(m):
-            if vec[r]:
-                basis.append((r, vec))
-                return True
-        return False
+    basis = SparseBasis()
 
     def attempt(covered: int) -> None:
         if covered != full:
             return
-        sub = [[rows_int[r][j] for j in chosen] for r in range(m)]
+        sub = [[(col_mask[j] >> r) & 1 for j in chosen] for r in range(m)]
         x = solve_unique(sub, [1] * m)
         if x is None or any(v <= 0 for v in x):
             return
-        values = {cells[j]: x[i] for i, j in enumerate(chosen)}
-        found.append(Array3.from_cells(spec.n, spec.d, values))
+        entries = [Fraction(0)] * N
+        for i, j in enumerate(chosen):
+            entries[j] = x[i]
+        found.append(Array3(spec.n, spec.d, entries))
 
     def dfs(i: int, covered: int) -> None:
         if i == N:
@@ -387,7 +380,7 @@ def enumerate_vertices(spec: PolytopeSpec, max_cells: int = 32) -> list:
                 return
             mask >>= 1
             r += 1
-        if independent_after_add(i):
+        if basis.add(columns[i]):
             chosen.append(i)
             attempt(covered | col_mask[i])
             dfs(i + 1, covered | col_mask[i])
@@ -397,7 +390,7 @@ def enumerate_vertices(spec: PolytopeSpec, max_cells: int = 32) -> list:
 
     dfs(0, 0)
     for A in found:
-        cert = is_vertex_rank(A, spec)
-        assert cert.is_vertex, "enumerated point failed the rank criterion"
+        if not is_vertex_rank(A, spec).is_vertex:
+            raise CertificateError("enumerated point failed the rank criterion")
     found.sort(key=lambda a: a.support())
     return found

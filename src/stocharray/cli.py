@@ -5,8 +5,8 @@ All output is deterministic JSON on stdout (sorted keys, two-space
 indent, trailing newline, no timestamps).  Seeds resolve as: --seed
 flag, else the SEED environment variable, else 0.
 
-Exit codes: 0 success, 1 internal or construction failure, 2 invalid
-parameters, 3 input/output failure, 4 unknown subcommand.
+Exit codes: 0 success, 1 internal, construction or certificate-check
+failure, 2 invalid parameters, 3 input/output failure, 4 unknown subcommand.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from fractions import Fraction
 from stocharray import __version__
 from stocharray.bounds import construction_count_report, permanent
 from stocharray.certify import (
+    CertificateError,
     enumerate_vertices,
     half_integral_certificate,
     is_vertex_rank,
@@ -347,6 +348,9 @@ def main(argv=None) -> int:
         return 2
     except ConstructionError as e:
         sys.stderr.write(f"stocharray: construction failed: {e}\n")
+        return 1
+    except CertificateError as e:
+        sys.stderr.write(f"stocharray: certificate check failed: {e}\n")
         return 1
     except Exception as e:  # pragma: no cover - defensive catch-all
         sys.stderr.write(f"stocharray: internal error: {type(e).__name__}: {e}\n")

@@ -16,8 +16,10 @@ are stored.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterator, Mapping, Sequence
 
 HALF = Fraction(1, 2)
@@ -54,6 +56,11 @@ class PolytopeSpec:
     @property
     def total_cells(self) -> int:
         return self.n ** (self.d + 1)
+
+    @property
+    def group_count(self) -> int:
+        """Number of unit-sum constraint groups: lines (omega) or hyperplanes (sigma)."""
+        return self.axes * (self.n ** self.d if self.kind == "omega" else self.n)
 
 
 class Array3:
@@ -128,7 +135,11 @@ class Array3:
 
     def support(self) -> list:
         """Cells with nonzero entry, in lexicographic order."""
-        return [c for c in self.cells() if self._entries[self.index(c)] != 0]
+        return list(itertools.compress(self.cells(), self._entries))
+
+    def support_indices(self) -> list:
+        """Flat indices of the nonzero entries, in increasing order."""
+        return list(itertools.compress(range(len(self._entries)), self._entries))
 
     def nested(self) -> list:
         out = list(self._entries)
@@ -236,22 +247,53 @@ def constraint_cell_groups(spec: PolytopeSpec) -> list:
     return [cells for _, _, cells in iter_hyperplanes(spec.n, spec.d)]
 
 
+@lru_cache(maxsize=8)
+def cell_groups(spec: PolytopeSpec) -> tuple:
+    """The d+1 ids of the groups through each cell, in flat cell order.
+
+    Group id g is the position of the group in `constraint_cell_groups`:
+    a n^d + (row-major index of the other coordinates) for the line along
+    axis a, and a n + value for the hyperplane on axis a.
+    """
+    n, d = spec.n, spec.d
+    ids = list(range(spec.group_count))  # one int object per id, shared by its cells
+    omega = spec.kind == "omega"
+    out = []
+    for i in range(spec.total_cells):
+        groups = []
+        for a in range(d + 1):
+            w = n ** (d - a)  # weight of coordinate a in the flat index
+            g = a * n**d + i // (w * n) * w + i % w if omega else a * n + i // w % n
+            groups.append(ids[g])
+        out.append(tuple(groups))
+    return tuple(out)
+
+
 # ─── membership and basic polytope facts ─────────────────────────────────────
 
 
 def is_member(A: Array3, spec: PolytopeSpec) -> bool:
-    """Exact membership test: nonnegative entries, every constraint sums to 1."""
+    """Exact membership test: nonnegative entries, every constraint sums to 1.
+
+    Visits the nonzero entries only, scaled to integers over their least
+    common denominator so that the group sums are integer sums.
+    """
     if A.n != spec.n or A.d != spec.d:
         raise ValueError(
             f"array shape (n={A.n}, d={A.d}) does not match spec (n={spec.n}, d={spec.d})"
         )
-    if any(v < 0 for v in A.entries):
-        return False
-    one = Fraction(1)
-    for cells in constraint_cell_groups(spec):
-        if sum(A[c] for c in cells) != one:
+    entries = A.entries
+    nonzero = A.support_indices()
+    scale = math.lcm(*{entries[i].denominator for i in nonzero})
+    groups = cell_groups(spec)
+    sums = [0] * spec.group_count
+    for i in nonzero:
+        v = entries[i]
+        if v.numerator < 0:
             return False
-    return True
+        for g in groups[i]:
+            sums[g] += v.numerator * (scale // v.denominator)
+    return sums.count(scale) == len(sums)
 
 
 def affine_dimension(spec: PolytopeSpec) -> int:

@@ -386,40 +386,12 @@ def double_latin_from(A: LatinSquare, B: LatinSquare, sigma: Sequence[int]) -> D
 
 def is_hamiltonian(X: DoubleLatinSquare) -> bool:
     """True when every symbol's 2n cells form a single rook cycle."""
-    n = X.order
-    for s in range(n // 2):
-        if _cycle_length(X.symbol_cells(s)) != 2 * n:
+    for s in range(X.order // 2):
+        try:
+            rook_cycle_order(X.symbol_cells(s))
+        except ValueError:  # the cells have two per row and column, so: several cycles
             return False
     return True
-
-
-def _cycle_length(cells: Sequence) -> int:
-    """Length of the alternating row/column cycle containing cells[0].
-
-    ``cells`` must have exactly two entries per used row and column, which
-    makes the row-partner and column-partner of every cell unique.
-    """
-    row_mate = {}
-    col_mate = {}
-    by_row = {}
-    by_col = {}
-    for c in cells:
-        by_row.setdefault(c[0], []).append(c)
-        by_col.setdefault(c[1], []).append(c)
-    for group, mate in ((by_row, row_mate), (by_col, col_mate)):
-        for pair in group.values():
-            if len(pair) != 2:
-                raise ValueError("cell set does not have two cells per row/column")
-            mate[pair[0]] = pair[1]
-            mate[pair[1]] = pair[0]
-    start = cells[0]
-    cur, use_row, steps = start, True, 0
-    while True:
-        cur = row_mate[cur] if use_row else col_mate[cur]
-        use_row = not use_row
-        steps += 1
-        if cur == start and use_row:
-            return steps
 
 
 def rook_cycle_order(cells: Sequence) -> list:

@@ -1,98 +1,133 @@
-"""Exact linear algebra on small matrices.
+"""Exact linear algebra on sparse columns.
 
-Rank and kernel computations use fraction-free Gaussian elimination
-(Bareiss one-step rule) over Python integers, so intermediate values are
-minors of the input and no rational arithmetic happens until a kernel
-vector is back-substituted.  Solving uses plain Fraction elimination;
-all callers work at sizes where that is instant.
+One kernel, `SparseBasis`, answers every rank, kernel and solve question
+in the package.  Columns are sparse mappings from row index to an exact
+value (int or Fraction).  Each added column is reduced over Q against
+the pivots found so far and pivots on its lowest remaining row, so the
+arithmetic touches only nonzeros and nothing is ever rounded.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 
-def bareiss_echelon(rows: list) -> tuple:
-    """Fraction-free row echelon form of an integer matrix.
+class SparseBasis:
+    """Linearly independent sparse columns, stored reduced.
 
-    Returns (rank, echelon, pivot_cols) where ``echelon`` is a list of
-    integer rows (pivot rows first, in order) and ``pivot_cols[t]`` is the
-    column of the t-th pivot.  The input is not modified.
+    Stored column t holds 1 at its pivot, its lowest nonzero row, and is
+    kept with the (scale, multipliers) that produced it from the column
+    as added, so any combination of stored columns can be rewritten over
+    the added ones.  `pop` drops the column added last, as a depth-first
+    search over column subsets needs.
     """
-    M = [list(map(int, row)) for row in rows]
-    m = len(M)
-    ncols = len(M[0]) if m else 0
-    r = 0
-    prev = 1
-    pivot_cols = []
-    for c in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if M[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        p = M[r][c]
-        Mr = M[r]
-        for i in range(r + 1, m):
-            Mi = M[i]
-            f = Mi[c]
-            if f:
-                M[i] = [(a * p - f * b) // prev for a, b in zip(Mi, Mr)]
-            elif p != prev:
-                M[i] = [(a * p) // prev for a in Mi]
-        prev = p
-        pivot_cols.append(c)
-        r += 1
-        if r == m:
-            break
-    return r, M, pivot_cols
 
+    def __init__(self):
+        self._pivot_of: dict = {}  # pivot row -> position
+        self._stored: list = []  # (pivot row, reduced column, scale, multipliers)
 
-def rank_int(rows: list) -> int:
-    """Exact rank of an integer matrix."""
-    if not rows:
-        return 0
-    return bareiss_echelon(rows)[0]
+    def _reduce(self, column: Mapping) -> tuple:
+        """(remainder, multipliers) with column = remainder + sum of
+        multipliers[t] * stored column t, and remainder 0 on every pivot.
 
+        A stored column is 0 above its pivot, so clearing pivot rows in
+        increasing order never revives a row already cleared.
+        """
+        v = {r: a for r, a in column.items() if a}
+        heap = [r for r in v if r in self._pivot_of]
+        heapq.heapify(heap)
+        multipliers = {}
+        while heap:
+            r = heapq.heappop(heap)
+            a = v.get(r)
+            if not a:
+                continue
+            t = self._pivot_of[r]
+            multipliers[t] = a
+            for s, w in self._stored[t][1].items():
+                x = v.get(s, 0) - a * w
+                if x:
+                    if s not in v and s in self._pivot_of:
+                        heapq.heappush(heap, s)
+                    v[s] = x
+                else:
+                    del v[s]
+        return v, multipliers
 
-def kernel_vector_int(rows: list, ncols: int) -> list | None:
-    """One exact rational kernel vector of an integer matrix, or None.
+    def add(self, column: Mapping) -> bool:
+        """Store ``column`` if it is independent of the basis; report whether it was."""
+        v, multipliers = self._reduce(column)
+        if not v:
+            return False
+        p = min(v)
+        scale = v[p]
+        if scale == -1:  # keeps integer entries integer, which is much faster
+            v = {r: -a for r, a in v.items()}
+        elif scale != 1:
+            v = {r: Fraction(a) / scale for r, a in v.items()}
+        self._pivot_of[p] = len(self._stored)
+        self._stored.append((p, v, scale, multipliers))
+        return True
 
-    Returns a list of Fractions x with rows . x = 0 and x != 0 whenever the
-    columns are linearly dependent; None when the kernel is trivial.
-    """
-    if ncols == 0:
-        return None
-    if not rows:
-        out = [Fraction(0)] * ncols
-        out[0] = Fraction(1)
+    def pop(self) -> None:
+        """Drop the column added last."""
+        del self._pivot_of[self._stored.pop()[0]]
+
+    def express(self, column: Mapping) -> Optional[dict]:
+        """Coefficients writing ``column`` over the added columns, by position,
+        or None when it is outside their span."""
+        v, h = self._reduce(column)
+        if v:
+            return None
+        out = {}
+        # stored column t = (added column t - sum multipliers[s] * stored s) / scale,
+        # over s < t only, so one pass downwards rewrites h over the added columns
+        for t in range(len(self._stored) - 1, -1, -1):
+            c = h.pop(t, 0)
+            if c:
+                _, _, scale, multipliers = self._stored[t]
+                out[t] = c = Fraction(c) / scale
+                for s, g in multipliers.items():
+                    h[s] = h.get(s, 0) - c * g
         return out
-    rank, M, pivot_cols = bareiss_echelon(rows)
-    if rank == ncols:
-        return None
-    free = next(c for c in range(ncols) if c not in pivot_cols)
-    x = [Fraction(0)] * ncols
-    x[free] = Fraction(1)
-    for t in range(rank - 1, -1, -1):
-        if pivot_cols[t] > free:
+
+
+class Elimination(NamedTuple):
+    """One left-to-right pass: the columns independent of all before them,
+    and, for the first dependent column j (if any), the unique kernel vector
+    x with x[j] = 1 and x[k] = 0 for k > j, as Fractions."""
+
+    independent: tuple
+    kernel: Optional[list]
+
+    @property
+    def rank(self) -> int:
+        return len(self.independent)
+
+
+def eliminate(columns: Sequence[Mapping], stop_at_dependency: bool = False) -> Elimination:
+    """Exact rank and first kernel vector of sparse columns.
+
+    With ``stop_at_dependency`` the pass ends at the first dependent
+    column, so ``independent`` holds only the columns before it.
+    """
+    basis = SparseBasis()
+    independent = []
+    kernel = None
+    for j, column in enumerate(columns):
+        if basis.add(column):
+            independent.append(j)
             continue
-        row = M[t]
-        s = sum(
-            (
-                Fraction(row[j]) * x[j]
-                for j in range(pivot_cols[t] + 1, ncols)
-                if row[j] and x[j]
-            ),
-            Fraction(0),
-        )
-        x[pivot_cols[t]] = -s / Fraction(row[pivot_cols[t]])
-    assert any(x), "kernel vector vanished"
-    for row in rows:
-        assert sum(Fraction(a) * v for a, v in zip(row, x) if a and v) == 0, "not in kernel"
-    return x
+        if kernel is None:
+            kernel = [Fraction(0)] * len(columns)
+            kernel[j] = Fraction(1)
+            for t, c in basis.express(column).items():
+                kernel[independent[t]] = -c
+        if stop_at_dependency:
+            break
+    return Elimination(tuple(independent), kernel)
 
 
 def solve_unique(rows: list, rhs: list) -> list | None:
@@ -101,31 +136,12 @@ def solve_unique(rows: list, rhs: list) -> list | None:
     Raises ValueError when the columns are dependent (solution not unique).
     Entries may be ints or Fractions.
     """
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    r = 0
-    pivot_cols = []
-    for c in range(ncols):
-        piv = next((i for i in range(r, m) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        p = aug[r][c]
-        aug[r] = [v / p for v in aug[r]]
-        top = aug[r]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], top)]
-        pivot_cols.append(c)
-        r += 1
-    if r < ncols:
-        raise ValueError("columns are linearly dependent; solution not unique")
-    for i in range(r, m):
-        if aug[i][ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for t, c in enumerate(pivot_cols):
-        x[c] = aug[t][ncols]
-    return x
+    ncols = len(rows[0]) if rows else 0
+    basis = SparseBasis()
+    for j in range(ncols):
+        if not basis.add({r: row[j] for r, row in enumerate(rows)}):
+            raise ValueError("columns are linearly dependent; solution not unique")
+    x = basis.express(dict(enumerate(rhs)))
+    if x is None:
+        return None
+    return [x.get(j, Fraction(0)) for j in range(ncols)]

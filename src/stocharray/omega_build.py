@@ -27,12 +27,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from stocharray.core import HALF, Array3, PolytopeSpec, is_member
-from stocharray.certify import (
-    build_support_graph,
-    half_integral_certificate,
-    is_vertex_rank,
-)
+from stocharray.core import HALF, Array3, PolytopeSpec
+from stocharray.certify import certify_construction
 from stocharray.designs import (
     BipartiteGraph,
     DoubleLatinSquare,
@@ -147,7 +143,13 @@ def build_top_half(X: DoubleLatinSquare) -> PartialArray:
     return partial
 
 
-def _rainbow_transversal(X: DoubleLatinSquare, rng: random.Random) -> list:
+def select_rainbow_transversal(X: DoubleLatinSquare, rng: random.Random) -> list:
+    """One cell per symbol of X, no two sharing a row or column.
+
+    Greedy selection cannot get stuck: when k symbols are placed, the
+    used rows and columns block at most 4k of the next symbol's 2n cells,
+    and 4k <= 4(n/2 - 1) < 2n.
+    """
     n = X.order
     used_rows: set = set()
     used_cols: set = set()
@@ -166,17 +168,8 @@ def _rainbow_transversal(X: DoubleLatinSquare, rng: random.Random) -> list:
     return picked
 
 
-def select_rainbow_transversal(X: DoubleLatinSquare, seed: int = 0) -> list:
-    """One cell per symbol of X, no two sharing a row or column.
-
-    Greedy selection cannot get stuck: when k symbols are placed, the
-    used rows and columns block at most 4k of the next symbol's 2n cells,
-    and 4k <= 4(n/2 - 1) < 2n.
-    """
-    return _rainbow_transversal(X, random.Random(seed))
-
-
-def _extend_to_permutation(cells, n: int, rng: random.Random) -> tuple:
+def extend_to_permutation(cells, n: int, rng: random.Random) -> tuple:
+    """Complete a partial permutation (distinct rows/cols) to tau: row -> col."""
     tau = [-1] * n
     used_cols = set()
     for (i, j) in cells:
@@ -192,12 +185,13 @@ def _extend_to_permutation(cells, n: int, rng: random.Random) -> tuple:
     return tuple(tau)
 
 
-def extend_to_permutation(cells, n: int, seed: int = 0) -> tuple:
-    """Complete a partial permutation (distinct rows/cols) to tau: row -> col."""
-    return _extend_to_permutation(cells, n, random.Random(seed))
+def choose_single_cycle_partner(tau, rng: random.Random) -> tuple:
+    """A permutation disjoint from tau whose union with it is one 2n-cycle.
 
-
-def _cycle_partner(tau, rng: random.Random) -> tuple:
+    Rows are threaded along a random cyclic order v; the partner sends
+    v[s+1] to tau(v[s]), so the union alternates row and column steps
+    through all n rows before closing.
+    """
     n = len(tau)
     if n < 2:
         raise ValueError("need n >= 2")
@@ -208,16 +202,6 @@ def _cycle_partner(tau, rng: random.Random) -> tuple:
         partner[v[(s + 1) % n]] = tau[v[s]]
     assert all(partner[i] != tau[i] for i in range(n))
     return tuple(partner)
-
-
-def choose_single_cycle_partner(tau, seed: int = 0) -> tuple:
-    """A permutation disjoint from tau whose union with it is one 2n-cycle.
-
-    Rows are threaded along a random cyclic order v; the partner sends
-    v[s+1] to tau(v[s]), so the union alternates row and column steps
-    through all n rows before closing.
-    """
-    return _cycle_partner(tau, random.Random(seed))
 
 
 def _plant_options(cycle_cells, used, rng: random.Random):
@@ -245,7 +229,14 @@ def _path_edges(x, y, w):
     return frozenset({(x[0], x[1]), (w[0], w[1]), (y[0], y[1])})
 
 
-def _plant_odd_cycle(partial: PartialArray, rng: random.Random) -> PartialArray:
+def plant_odd_cycle(partial: PartialArray, rng: random.Random) -> PartialArray:
+    """Decide layer n/2+1: a 2-factor through a planted 3-edge path.
+
+    Two cells x, y of the first upper rook cycle at odd distance >= 3,
+    together with the bend w and the vertical lines of x and y, close an
+    odd walk through the upper layers; the rest of the layer is any
+    2-factor of the still-available vertical lines through that path.
+    """
     n = partial.n
     if partial.decided != n // 2 + 1:
         raise ValueError("the odd-cycle layer comes right after the first lower layer")
@@ -265,18 +256,14 @@ def _plant_odd_cycle(partial: PartialArray, rng: random.Random) -> PartialArray:
     raise ConstructionError("no odd-cycle plant admits a completing 2-factor")
 
 
-def plant_odd_cycle(partial: PartialArray, seed: int = 0) -> PartialArray:
-    """Decide layer n/2+1: a 2-factor through a planted 3-edge path.
+def fill_remaining_layers(partial: PartialArray, rng: random.Random) -> Array3:
+    """Decide the last n/2-2 layers with 2-factors of the leftover lines.
 
-    Two cells x, y of the first upper rook cycle at odd distance >= 3,
-    together with the bend w and the vertical lines of x and y, close an
-    odd walk through the upper layers; the rest of the layer is any
-    2-factor of the still-available vertical lines through that path.
+    After the odd-cycle layer the available vertical lines form an
+    (n-4)-regular bipartite graph; peeling a 2-factor per layer keeps it
+    regular with degree dropping by two each time, so the fill never
+    gets stuck.
     """
-    return _plant_odd_cycle(partial, random.Random(seed))
-
-
-def _fill_remaining_layers(partial: PartialArray, rng: random.Random) -> Array3:
     n = partial.n
     if partial.decided != n // 2 + 2:
         raise ValueError("remaining layers come after the odd-cycle layer")
@@ -290,17 +277,6 @@ def _fill_remaining_layers(partial: PartialArray, rng: random.Random) -> Array3:
         K = K.without_edges(factor)
     assert not K.edges, "every vertical line must be consumed exactly once"
     return assemble_from_layers(n, layers)
-
-
-def fill_remaining_layers(partial: PartialArray, seed: int = 0) -> Array3:
-    """Decide the last n/2-2 layers with 2-factors of the leftover lines.
-
-    After the odd-cycle layer the available vertical lines form an
-    (n-4)-regular bipartite graph; peeling a 2-factor per layer keeps it
-    regular with degree dropping by two each time, so the fill never
-    gets stuck.
-    """
-    return _fill_remaining_layers(partial, random.Random(seed))
 
 
 def _decided_cells_connected(partial: PartialArray) -> bool:
@@ -341,9 +317,9 @@ def construct_vertex(n: int, seed: int = 0) -> tuple:
     X = build_double_latin(n, rng)
     partial = build_top_half(X)
 
-    picked = _rainbow_transversal(X, rng)
-    tau = _extend_to_permutation(picked, n, rng)
-    partner = _cycle_partner(tau, rng)
+    picked = select_rainbow_transversal(X, rng)
+    tau = extend_to_permutation(picked, n, rng)
+    partner = choose_single_cycle_partner(tau, rng)
     first_lower = frozenset(
         {(i, tau[i]) for i in range(n)} | {(i, partner[i]) for i in range(n)}
     )
@@ -354,21 +330,10 @@ def construct_vertex(n: int, seed: int = 0) -> tuple:
         "transversal layer must tie the upper cycles into one component"
     )
 
-    partial = _plant_odd_cycle(partial, rng)
-    A = _fill_remaining_layers(partial, rng)
+    partial = plant_odd_cycle(partial, rng)
+    A = fill_remaining_layers(partial, rng)
 
-    spec = PolytopeSpec("omega", n, 2)
-    assert is_member(A, spec)
-    graph = build_support_graph(A, "line")
-    assert graph.is_connected and not graph.has_bipartite_component, (
-        "construction invariant broken: support graph must be one odd component"
-    )
-    graph_cert = half_integral_certificate(A, spec)
-    rank_cert = is_vertex_rank(A, spec)
-    assert graph_cert.is_vertex and rank_cert.is_vertex, (
-        "graph and rank certificates must both accept the construction"
-    )
-    return A, rank_cert
+    return A, certify_construction(A, PolytopeSpec("omega", n, 2))
 
 
 def assemble_from_layers(n: int, layers) -> Array3:

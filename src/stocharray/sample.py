@@ -30,7 +30,7 @@ from stocharray.core import (
     iter_lines,
     uniform_array,
 )
-from stocharray.linalg import bareiss_echelon
+from stocharray.linalg import eliminate
 from stocharray.simplex import solve_lp
 
 QUANT = 1 << 32
@@ -114,20 +114,22 @@ def reduced_constraints(spec: PolytopeSpec) -> tuple:
         drops = frozenset((axis, 0) for axis in range(1, d + 1))
         described = [(a, v, cells) for a, v, cells in iter_hyperplanes(n, d)]
     rows = []
+    kept = []
     dropped = []
     for key0, key1, cells in described:
         if (key0, key1) in drops:
             dropped.append(tuple(cells))
             continue
+        flat = [flat_index(n, d, c) for c in cells]
         row = [0] * spec.total_cells
-        for c in cells:
-            row[flat_index(n, d, c)] = 1
-        rows.append(row)
+        for i in flat:
+            row[i] = 1
+        rows.append(tuple(row))
+        kept.append(dict.fromkeys(flat, 1))
     assert len(dropped) == len(drops)
-    rank, _, _ = bareiss_echelon([r[:] for r in rows])
-    if rank != rank_of_constraints(spec):
+    if eliminate(kept).rank != rank_of_constraints(spec):
         raise RuntimeError("reduced constraint system lost rank; drop set invalid")
-    return tuple(tuple(r) for r in rows), tuple(dropped)
+    return tuple(rows), tuple(dropped)
 
 
 def maximize(spec: PolytopeSpec, objective: Objective) -> tuple:

@@ -17,12 +17,8 @@ import math
 import random
 from typing import Mapping
 
-from stocharray.core import HALF, Array3, PolytopeSpec, is_member
-from stocharray.certify import (
-    build_support_graph,
-    half_integral_certificate,
-    is_vertex_rank,
-)
+from stocharray.core import HALF, Array3, PolytopeSpec
+from stocharray.certify import certify_construction
 from stocharray.designs import HCycle, random_h_cycle
 
 
@@ -53,14 +49,10 @@ class SymbolMatrix:
         raise AttributeError("SymbolMatrix is immutable")
 
     def to_array(self) -> Array3:
+        """Half-integral member with 1/2 at (i, j, k) whenever (i, j) is labelled k."""
         return Array3.from_cells(
             self.n, 2, {(i, j, s): HALF for (i, j), s in self.assignment.items()}
         )
-
-
-def symbol_matrix_to_array(M: SymbolMatrix) -> Array3:
-    """Half-integral member with 1/2 at (i, j, k) whenever M labels (i, j) with k."""
-    return M.to_array()
 
 
 def count_symbol_fillings(n: int) -> int:
@@ -100,16 +92,7 @@ def construct_sigma_vertex(n: int, seed: int = 0) -> tuple:
     H = random_h_cycle(n, rng.randrange(1 << 30))
     M = build_symbol_matrix(H, rng.randrange(1 << 30))
     A = M.to_array()
-    spec = PolytopeSpec("sigma", n, 2)
-    assert is_member(A, spec)
-    graph = build_support_graph(A, "hyperplane")
-    assert graph.is_connected and not graph.has_bipartite_component
-    graph_cert = half_integral_certificate(A, spec)
-    rank_cert = is_vertex_rank(A, spec)
-    assert graph_cert.is_vertex and rank_cert.is_vertex, (
-        "graph and rank certificates must both accept the construction"
-    )
-    return A, rank_cert
+    return A, certify_construction(A, PolytopeSpec("sigma", n, 2))
 
 
 def tuple_to_array(perms) -> Array3:

@@ -1,20 +1,22 @@
 """Vertex certification: support-graph criterion, rank criterion, enumeration."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
 
+from stocharray import certify
 from stocharray.certify import (
+    CertificateError,
     VertexCertificate,
     build_support_graph,
     enumerate_vertices,
     half_integral_certificate,
-    is_vertex_half_integral,
     is_vertex_rank,
     polytope_dimension,
     rank_of_constraints,
-    support_constraint_rows,
+    support_columns,
 )
 from stocharray.core import (
     Array3,
@@ -26,7 +28,9 @@ from stocharray.core import (
     uniform_array,
 )
 from stocharray.designs import random_latin, random_latin_discordant
-from stocharray.sigma_build import tuple_to_array
+from stocharray.linalg import Elimination
+from stocharray.omega_build import construct_vertex
+from stocharray.sigma_build import construct_sigma_vertex, tuple_to_array
 
 HALF = Fraction(1, 2)
 
@@ -111,8 +115,12 @@ def test_graph_rejects_non_half_integral_and_non_member():
 
 
 def test_default_family_helper():
-    cert = is_vertex_half_integral(known_omega_vertex_order3())
+    """The graph certificate takes its family from the spec, with no default."""
+    A = known_omega_vertex_order3()
+    cert = half_integral_certificate(A, PolytopeSpec("omega", 3, 2))
     assert cert.is_vertex and cert.method == "graph"
+    with pytest.raises(ValueError):  # hyperplanes of this array sum to 3
+        half_integral_certificate(A, PolytopeSpec("sigma", 3, 2))
 
 
 # ─── rank criterion ──────────────────────────────────────────────────────────
@@ -192,17 +200,17 @@ def test_segment_family_vertex_iff_integral():
             assert_valid_witness(cert, A, spec)
 
 
-def test_support_constraint_rows_shape():
+def test_support_columns_shape():
     A = known_omega_vertex_order3()
     spec = PolytopeSpec("omega", 3, 2)
-    rows, support = support_constraint_rows(A, spec)
-    assert support == A.support()
-    assert len(support) == 17
-    assert all(len(r) == 17 for r in rows)
-    assert len(rows) == 27  # every line meets the support
-    # each column belongs to exactly d+1 groups
-    for j in range(17):
-        assert sum(r[j] for r in rows) == 3
+    columns, support = support_columns(A, spec)
+    assert [A.index(c) for c in A.support()] == support
+    assert len(support) == 17 and len(columns) == 17
+    # every line meets the support
+    assert set().union(*columns) == set(range(27))
+    # each column belongs to exactly d+1 groups, with coefficient 1
+    for column in columns:
+        assert len(column) == 3 and set(column.values()) == {1}
 
 
 # ─── constraint rank and dimension ───────────────────────────────────────────
@@ -260,6 +268,14 @@ def test_enumerate_guards():
         enumerate_vertices(PolytopeSpec("omega", 6, 1))
     with pytest.raises(ValueError):
         enumerate_vertices(PolytopeSpec("omega", 2, 1), max_cells=3)
+    # 25 and 27 cells would search for minutes to hours; they are refused at once
+    for spec in (PolytopeSpec("omega", 5, 1), PolytopeSpec("omega", 3, 2)):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="capped at 16 cells"):
+            enumerate_vertices(spec)
+        assert time.perf_counter() - start < 1.0
+    # 16 cells, the cap itself, still runs: the 4! permutation matrices
+    assert len(enumerate_vertices(PolytopeSpec("omega", 4, 1))) == 24
 
 
 # ─── certificate dataclass contracts ─────────────────────────────────────────
@@ -273,3 +289,92 @@ def test_certificate_validation():
         VertexCertificate(True, "rank", witness=(1, 2))
     with pytest.raises(ValueError):
         VertexCertificate(False, "graph")
+
+
+# ─── checks that hold under python -O ────────────────────────────────────────
+
+
+def latin_midpoint(t=4, seed=0):
+    L1 = random_latin(t, seed)
+    L2 = random_latin_discordant(L1, seed + 50)
+    return (latin_to_array(L1) + latin_to_array(L2)).scale(HALF), PolytopeSpec("omega", t, 2)
+
+
+def test_wrong_kernel_vector_is_caught(monkeypatch):
+    A, spec = latin_midpoint()
+    k = len(A.support())
+    real = certify.eliminate
+
+    def fake(columns, stop_at_dependency=False):
+        got = real(columns, stop_at_dependency)
+        wrong = list(got.kernel)
+        wrong[-1] += 1  # moves the vector out of the kernel
+        return Elimination(got.independent, wrong)
+
+    monkeypatch.setattr(certify, "eliminate", fake)
+    with pytest.raises(CertificateError, match="not in the kernel"):
+        is_vertex_rank(A, spec)
+    monkeypatch.setattr(
+        certify, "eliminate", lambda columns, stop_at_dependency=False: Elimination((), [0] * k)
+    )
+    with pytest.raises(CertificateError, match="vanished"):
+        is_vertex_rank(A, spec)
+
+
+def test_coinciding_witness_is_caught(monkeypatch):
+    A, spec = latin_midpoint()
+    monkeypatch.setattr(certify, "_shift", lambda A, delta, sign: A)
+    with pytest.raises(CertificateError, match="coincide"):
+        is_vertex_rank(A, spec)
+    with pytest.raises(CertificateError, match="coincide"):
+        half_integral_certificate(A, spec)
+
+
+def test_witness_outside_or_off_centre_is_caught(monkeypatch):
+    A, spec = latin_midpoint()
+    real = certify._shift
+    monkeypatch.setattr(certify, "_shift", lambda A, delta, sign: real(A, delta, 3 * sign))
+    # three times the step still averages to A but leaves the polytope
+    with pytest.raises(CertificateError, match="left the polytope"):
+        is_vertex_rank(A, spec)
+    with pytest.raises(CertificateError, match="left the polytope"):
+        half_integral_certificate(A, spec)
+    monkeypatch.setattr(
+        certify, "_shift", lambda A, delta, sign: real(A, delta, sign) if sign > 0 else A
+    )
+    with pytest.raises(CertificateError, match="midpoint"):
+        half_integral_certificate(A, spec)
+
+
+def test_builders_check_the_graph_shape(monkeypatch):
+    # an all-halves cube of order 2 has one bipartite component
+    bipartite = build_support_graph(all_half_array(2, 2), "line")
+    monkeypatch.setattr(certify, "build_support_graph", lambda A, mode: bipartite)
+    with pytest.raises(CertificateError, match="one odd component"):
+        construct_vertex(10, 1)
+    with pytest.raises(CertificateError, match="one odd component"):
+        construct_sigma_vertex(5, 1)
+
+
+def test_builders_check_graph_and_rank_agree(monkeypatch):
+    A, spec = latin_midpoint()
+    negative = is_vertex_rank(A, spec)
+    monkeypatch.setattr(certify, "is_vertex_rank", lambda A, spec: negative)
+    with pytest.raises(CertificateError, match="both accept"):
+        construct_vertex(10, 1)
+    with pytest.raises(CertificateError, match="both accept"):
+        construct_sigma_vertex(5, 1)
+
+
+def test_graph_is_built_once_per_construction(monkeypatch):
+    calls = []
+    real = certify.build_support_graph
+
+    def counting(A, mode="line"):
+        calls.append(mode)
+        return real(A, mode)
+
+    monkeypatch.setattr(certify, "build_support_graph", counting)
+    construct_vertex(10, 1)
+    construct_sigma_vertex(6, 1)
+    assert calls == ["line", "hyperplane"]

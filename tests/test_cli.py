@@ -2,19 +2,24 @@
 
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from stocharray import __version__
+from stocharray import __version__, certify
 from stocharray.cli import main
-from stocharray.core import PolytopeSpec, to_json_dict, uniform_array
+from stocharray.core import HALF, PolytopeSpec, latin_to_array, to_json_dict, uniform_array
+from stocharray.designs import random_latin
 
-GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
+ROOT = Path(__file__).resolve().parent.parent
+GOLDENS = ROOT / "goldens"
 OMEGA_GOLDEN = str(GOLDENS / "omega-3x3x3.json")
 SIGMA_GOLDEN = str(GOLDENS / "sigma-2x2x2.json")
 SAMPLE_GOLDEN = GOLDENS / "sample-omega-n4-seed7.json"
+WITNESS_GOLDEN = GOLDENS / "verify-omega-n10-latin-midpoint.json"
 
 
 def run(capsys, *argv):
@@ -146,6 +151,11 @@ def test_enumerate_counts(capsys):
 def test_enumerate_too_large(capsys):
     code, _, err = run(capsys, "enumerate", "--kind", "omega", "--n", "6", "--d", "1")
     assert code == 2 and "invalid parameters" in err
+    # 25 and 27 cells: the search would run for minutes, so it is refused up front
+    for n, d, cells in (("5", "1", 25), ("3", "2", 27)):
+        code, out, err = run(capsys, "enumerate", "--kind", "omega", "--n", n, "--d", d)
+        assert code == 2 and out == ""
+        assert f"instance has {cells} cells" in err and "capped at 16 cells" in err
 
 
 # ─── construct ───────────────────────────────────────────────────────────────
@@ -341,7 +351,9 @@ def test_verbose_goes_to_stderr_only(capsys):
 
 
 def test_every_golden_fixture_reverifies(capsys):
-    fixtures = sorted(p for p in GOLDENS.glob("*.json") if p != SAMPLE_GOLDEN)
+    fixtures = sorted(
+        p for p in GOLDENS.glob("*.json") if p not in (SAMPLE_GOLDEN, WITNESS_GOLDEN)
+    )
     assert len(fixtures) == 3
     for path in fixtures:
         payload = run_json(capsys, "verify", str(path))
@@ -360,3 +372,34 @@ def test_sample_prints_the_committed_golden_bytes(capsys):
         "--trials", "5", "--seed", "7",
     )
     assert out == SAMPLE_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_verify_prints_the_committed_witness_bytes(capsys, tmp_path):
+    """A non-vertex: the midpoint of two seeded Latin squares of order 10."""
+    A = (latin_to_array(random_latin(10, 1)) + latin_to_array(random_latin(10, 2))).scale(HALF)
+    path = tmp_path / "midpoint.json"
+    path.write_text(json.dumps(to_json_dict(PolytopeSpec("omega", 10, 2), A)))
+    code, out, _ = run(capsys, "verify", str(path))
+    assert code == 0
+    assert out == WITNESS_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_golden_bytes_hold_under_optimize_flag():
+    """With asserts stripped (python -O) the checks still run and the bytes match."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "stocharray", "construct", "omega", "--n", "10", "--seed", "1"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDENS / "omega-n10-seed1.json").read_text(encoding="utf-8")
+
+
+def test_certificate_failure_exits_one(capsys, monkeypatch):
+    A = (latin_to_array(random_latin(4, 1)) + latin_to_array(random_latin(4, 2))).scale(HALF)
+    text = json.dumps(to_json_dict(PolytopeSpec("omega", 4, 2), A))
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    monkeypatch.setattr(certify, "_shift", lambda A, delta, sign: A)
+    code, out, err = run(capsys, "verify", "-")
+    assert code == 1 and out == ""
+    assert "certificate check failed: witness members coincide" in err

@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stocharray.core import (
     HALF,
@@ -12,6 +14,7 @@ from stocharray.core import (
     PolytopeSpec,
     affine_dimension,
     array_to_latin,
+    cell_groups,
     constraint_cell_groups,
     flat_index,
     fraction_from_json,
@@ -143,6 +146,70 @@ def test_is_member_rejects_bad_sums_and_signs():
     assert not is_member(M, PolytopeSpec("omega", 2, 1))
     N = Array3.from_nested([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]])
     assert not is_member(N, PolytopeSpec("omega", 2, 1))
+
+
+def naive_is_member(A, spec):
+    """Dense oracle: every entry nonnegative, every group sums to exactly 1."""
+    if any(v < 0 for v in A.entries):
+        return False
+    return all(sum(A[c] for c in cells) == 1 for cells in constraint_cell_groups(spec))
+
+
+@st.composite
+def near_members(draw):
+    """Convex mixtures of 0/1 members, pushed along a sum-preserving direction
+    (which may turn entries negative) and sometimes nudged at one cell."""
+    kind = draw(st.sampled_from(["omega", "sigma"]))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4 if d < 3 else 3))
+    perms = st.permutations(range(n))
+
+    def zero_one():
+        if kind == "omega":
+            # cells whose permuted coordinates sum to s mod n: one per line
+            pis = [draw(perms) for _ in range(d + 1)]
+            s = draw(st.integers(0, n - 1))
+            return Array3(n, d, [
+                1 if sum(pi[c] for pi, c in zip(pis, cell)) % n == s else 0
+                for cell in itertools.product(range(n), repeat=d + 1)
+            ])
+        # a permutation tuple: one cell per hyperplane
+        ps = [draw(perms) for _ in range(d)]
+        return Array3.from_cells(n, d, {(i,) + tuple(p[i] for p in ps): 1 for i in range(n)})
+
+    weights = [Fraction(draw(st.integers(1, 4))) for _ in range(draw(st.integers(1, 3)))]
+    A = Array3.zeros(n, d)
+    for w in weights:
+        A = A + zero_one().scale(w / sum(weights))
+    t = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
+    A = A + (zero_one() - zero_one()).scale(t)
+    nudge = draw(st.sampled_from([0, 0, 1, -1, Fraction(1, n), Fraction(-1, 7)]))
+    if nudge:
+        i = draw(st.integers(0, n ** (d + 1) - 1))
+        entries = list(A.entries)
+        entries[i] += nudge
+        A = Array3(n, d, entries)
+    return PolytopeSpec(kind, n, d), A
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_members())
+def test_is_member_agrees_with_dense_oracle(case):
+    spec, A = case
+    assert is_member(A, spec) == naive_is_member(A, spec)
+
+
+def test_cell_groups_index_matches_the_groups():
+    for kind, n, d in itertools.product(("omega", "sigma"), (1, 2, 3), (1, 2, 3)):
+        spec = PolytopeSpec(kind, n, d)
+        index = cell_groups(spec)
+        groups = constraint_cell_groups(spec)
+        assert spec.group_count == len(groups)
+        through = [[] for _ in index]
+        for g, cells in enumerate(groups):
+            for c in cells:
+                through[flat_index(n, d, c)].append(g)
+        assert [list(t) for t in index] == through
 
 
 def test_affine_dimension_closed_form():

@@ -35,9 +35,9 @@ def top_half_partial(n, seed):
 
 
 def first_lower_layer(X, seed):
-    picked = select_rainbow_transversal(X, seed)
-    tau = extend_to_permutation(picked, X.order, seed + 1)
-    partner = choose_single_cycle_partner(tau, seed + 2)
+    picked = select_rainbow_transversal(X, random.Random(seed))
+    tau = extend_to_permutation(picked, X.order, random.Random(seed + 1))
+    partner = choose_single_cycle_partner(tau, random.Random(seed + 2))
     n = X.order
     return frozenset({(i, tau[i]) for i in range(n)} | {(i, partner[i]) for i in range(n)})
 
@@ -116,7 +116,7 @@ def test_select_rainbow_transversal_properties():
     L = LatinSquare([[0, 1], [1, 0]])
     X = double_latin_from(L, L, (1, 0))
     for seed in range(10):
-        picked = select_rainbow_transversal(X, seed)
+        picked = select_rainbow_transversal(X, random.Random(seed))
         assert len(picked) == 2
         rows = {i for (i, _) in picked}
         cols = {j for (_, j) in picked}
@@ -126,22 +126,22 @@ def test_select_rainbow_transversal_properties():
 
 
 def test_extend_to_permutation():
-    tau = extend_to_permutation([(0, 0)], 2)
+    tau = extend_to_permutation([(0, 0)], 2, random.Random(0))
     assert tau == (0, 1)
     for seed in range(5):
-        tau = extend_to_permutation([(1, 3), (4, 0)], 6, seed)
+        tau = extend_to_permutation([(1, 3), (4, 0)], 6, random.Random(seed))
         assert sorted(tau) == list(range(6))
         assert tau[1] == 3 and tau[4] == 0
     with pytest.raises(ValueError):
-        extend_to_permutation([(0, 0), (0, 1)], 3)
+        extend_to_permutation([(0, 0), (0, 1)], 3, random.Random(0))
     with pytest.raises(ValueError):
-        extend_to_permutation([(0, 1), (2, 1)], 3)
+        extend_to_permutation([(0, 1), (2, 1)], 3, random.Random(0))
 
 
 def test_choose_single_cycle_partner_small_exhaustive():
     """At n = 3 exactly (n-1)! = 2 distinct partners exist; both appear."""
     tau = (0, 1, 2)
-    seen = {choose_single_cycle_partner(tau, seed) for seed in range(40)}
+    seen = {choose_single_cycle_partner(tau, random.Random(seed)) for seed in range(40)}
     assert len(seen) == 2
     for partner in seen:
         union = sorted(
@@ -153,13 +153,13 @@ def test_choose_single_cycle_partner_small_exhaustive():
 def test_choose_single_cycle_partner_large():
     rng = random.Random(11)
     tau = tuple(rng.sample(range(10), 10))
-    partner = choose_single_cycle_partner(tau, 5)
+    partner = choose_single_cycle_partner(tau, random.Random(5))
     assert sorted(partner) == list(range(10))
     assert all(partner[i] != tau[i] for i in range(10))
     union = sorted([(i, tau[i]) for i in range(10)] + [(i, partner[i]) for i in range(10)])
     assert len(rook_cycle_order(union)) == 20
     with pytest.raises(ValueError):
-        choose_single_cycle_partner((0,))
+        choose_single_cycle_partner((0,), random.Random(0))
 
 
 # ─── stage 3: odd-cycle plant and fill ───────────────────────────────────────
@@ -168,35 +168,35 @@ def test_choose_single_cycle_partner_large():
 def test_plant_odd_cycle_stage_guards():
     partial = top_half_partial(8, 0)
     with pytest.raises(ValueError):
-        plant_odd_cycle(partial)  # first lower layer still missing
+        plant_odd_cycle(partial, random.Random(0))  # first lower layer still missing
     X = build_double_latin(8, random.Random(1))
     p = build_top_half(X).with_layer(first_lower_layer(X, 2))
-    planted = plant_odd_cycle(p, 3)
+    planted = plant_odd_cycle(p, random.Random(3))
     assert planted.decided == 6
     with pytest.raises(ValueError):
-        plant_odd_cycle(planted)  # already planted
+        plant_odd_cycle(planted, random.Random(0))  # already planted
 
 
 def test_plant_odd_cycle_too_small():
     X = build_double_latin(4, random.Random(0))
     p = build_top_half(X).with_layer(first_lower_layer(X, 1))
     with pytest.raises(ConstructionError):
-        plant_odd_cycle(p, 0)
+        plant_odd_cycle(p, random.Random(0))
 
 
 def test_fill_remaining_layers_stage_guard():
     X = build_double_latin(8, random.Random(4))
     p = build_top_half(X).with_layer(first_lower_layer(X, 5))
     with pytest.raises(ValueError):
-        fill_remaining_layers(p)
+        fill_remaining_layers(p, random.Random(0))
 
 
 def test_staged_pipeline_matches_certificates():
     n = 8
     X = build_double_latin(n, random.Random(21))
     p = build_top_half(X).with_layer(first_lower_layer(X, 22))
-    p = plant_odd_cycle(p, 23)
-    A = fill_remaining_layers(p, 24)
+    p = plant_odd_cycle(p, random.Random(23))
+    A = fill_remaining_layers(p, random.Random(24))
     spec = PolytopeSpec("omega", n, 2)
     assert is_member(A, spec)
     assert is_vertex_rank(A, spec).is_vertex

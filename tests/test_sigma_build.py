@@ -18,7 +18,6 @@ from stocharray.sigma_build import (
     build_symbol_matrix,
     construct_sigma_vertex,
     count_symbol_fillings,
-    symbol_matrix_to_array,
     tuple_to_array,
 )
 
@@ -47,7 +46,7 @@ def test_symbol_matrix_validation():
 
 def test_symbol_matrix_to_array_places_halves():
     M = SymbolMatrix(2, {(0, 0): 0, (0, 1) : 1, (1, 0): 1, (1, 1): 0})
-    A = symbol_matrix_to_array(M)
+    A = M.to_array()
     assert A[(0, 0, 0)] == HALF and A[(0, 1, 1)] == HALF
     assert A[(1, 0, 1)] == HALF and A[(1, 1, 0)] == HALF
     assert len(A.support()) == 4
@@ -94,7 +93,7 @@ def test_distinct_vertices_at_order_three():
         for tail in set(itertools.permutations([1, 2, 2])):
             assignment = {cells[0]: 0, cells[1]: 1, cells[2]: 0}
             assignment.update(zip(cells[3:], tail))
-            arrays.add(symbol_matrix_to_array(SymbolMatrix(3, assignment)))
+            arrays.add(SymbolMatrix(3, assignment).to_array())
     assert len(arrays) == 18
     spec = PolytopeSpec("sigma", 3, 2)
     for A in arrays:
