@@ -22,8 +22,11 @@ def permanent(M) -> object:
     """Exact permanent by inclusion-exclusion over column subsets.
 
     Runs in O(2^n n) with Gray-code updates of the running row sums;
-    capped at n = 20.  Integer matrices give an int, rational ones a
-    Fraction.
+    capped at n = 20.  Entries are ints or Fractions.  The rows are
+    scaled once by the lcm D of all denominators, so the loop adds and
+    multiplies plain ints, and the permanent is that integer total over
+    D^n.  Integer matrices give an int, matrices with a Fraction entry
+    a Fraction.
     """
     rows = [list(r) for r in M]
     n = len(rows)
@@ -33,27 +36,25 @@ def permanent(M) -> object:
         raise ValueError("matrix must be square")
     if n > 20:
         raise ValueError("permanent capped at order 20")
+    D = math.lcm(*(x.denominator for r in rows for x in r))
+    cols = [[r[j].numerator * (D // r[j].denominator) for r in rows] for j in range(n)]
     sums = [0] * n
     total = 0
     prev_gray = 0
-    sign = 1 if n % 2 == 0 else -1
     for s in range(1, 1 << n):
         gray = s ^ (s >> 1)
         changed = (gray ^ prev_gray).bit_length() - 1
+        col = cols[changed]
         if gray & (1 << changed):
-            for i in range(n):
-                sums[i] += rows[i][changed]
+            sums = [a + b for a, b in zip(sums, col)]
         else:
-            for i in range(n):
-                sums[i] -= rows[i][changed]
+            sums = [a - b for a, b in zip(sums, col)]
         prev_gray = gray
-        prod = 1
-        for x in sums:
-            prod *= x
-            if prod == 0:
-                break
-        total += prod if gray.bit_count() % 2 == 0 else -prod
-    return sign * total
+        # sign (-1)^(n - |gray|); each step flips one bit, so |gray| is odd iff s is
+        total += -math.prod(sums) if (n ^ s) & 1 else math.prod(sums)
+    if any(isinstance(x, Fraction) for r in rows for x in r):
+        return Fraction(total, D**n)
+    return total
 
 
 def factorial_lower_bound(n: int) -> Fraction:
@@ -144,6 +145,11 @@ def log_of_int(x: int) -> float:
     return math.log(x >> shift) + shift * math.log(2)
 
 
+# the largest even order whose (n - 1)! has at most 4300 digits, the
+# longest int Python converts to a string by default
+MAX_REPORT_ORDER = 1558
+
+
 def construction_count_report(n: int) -> dict:
     """How many distinct arrays the even-order fractional builder can reach.
 
@@ -158,6 +164,8 @@ def construction_count_report(n: int) -> dict:
     """
     if n < 2 or n % 2:
         raise ValueError("the builder count needs even n >= 2")
+    if n > MAX_REPORT_ORDER:
+        raise ValueError(f"the builder count report is capped at order {MAX_REPORT_ORDER}")
     t = n // 2
     if t <= 5:
         top_count = math.factorial(t - 1) * count_latin(t) ** 2

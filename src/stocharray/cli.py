@@ -34,8 +34,8 @@ from stocharray.core import (
     is_member,
     to_json_dict,
 )
-from stocharray.designs import double_latin_from, is_hamiltonian, random_latin
-from stocharray.omega_build import ConstructionError, construct_vertex, random_single_cycle
+from stocharray.designs import is_hamiltonian, random_latin
+from stocharray.omega_build import ConstructionError, build_double_latin, construct_vertex
 from stocharray.sample import run_experiment
 from stocharray.sigma_build import construct_sigma_vertex
 
@@ -228,13 +228,7 @@ def _cmd_designs(argv) -> int:
     else:
         if a.n is None:
             p.error("double-latin requires --n")
-        if a.n < 2 or a.n % 2:
-            raise ValueError("double Latin squares need even order >= 2")
-        rng = random.Random(seed)
-        t = a.n // 2
-        A = random_latin(t, rng.randrange(1 << 30))
-        B = random_latin(t, rng.randrange(1 << 30))
-        X = double_latin_from(A, B, random_single_cycle(t, rng))
+        X = build_double_latin(a.n, random.Random(seed))
         payload = {
             "meta": _meta("designs double-latin", seed=seed, n=a.n),
             "order": a.n,

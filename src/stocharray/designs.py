@@ -170,30 +170,35 @@ def iter_latin_squares(t: int) -> Iterator[LatinSquare]:
 
 
 def count_latin(t: int) -> int:
-    """Exact number of order-t Latin squares by exhaustive backtracking (t <= 5)."""
+    """Exact number of order-t Latin squares (t <= 5): the reduced squares
+    (first row and column in natural order), counted by exhaustive
+    backtracking cell by cell, times t!(t-1)!, as each square is reduced by
+    exactly one column permutation and one permutation of the later rows."""
     if not 1 <= t <= 5:
         raise ValueError("exhaustive count supported for 1 <= t <= 5 only")
-    row_free = [(1 << t) - 1 for _ in range(t)]
-    col_free = [(1 << t) - 1 for _ in range(t)]
-    last = t * t - 1
+    full = (1 << t) - 1
+    # symbol i sits at (0, i) and at (i, 0)
+    row_free = [full ^ (1 << i) for i in range(t)]
+    col_free = [full ^ (1 << j) for j in range(t)]
+    cells = [(i, j) for i in range(1, t) for j in range(1, t)]
 
-    def rec(pos: int) -> int:
-        i, j = divmod(pos, t)
+    def rec(k: int) -> int:
+        if k == len(cells):
+            return 1
+        i, j = cells[k]
         avail = row_free[i] & col_free[j]
-        if pos == last:
-            return 1 if avail else 0
         total = 0
         while avail:
             bit = avail & -avail
             avail ^= bit
             row_free[i] ^= bit
             col_free[j] ^= bit
-            total += rec(pos + 1)
+            total += rec(k + 1)
             row_free[i] ^= bit
             col_free[j] ^= bit
         return total
 
-    return rec(0)
+    return math.factorial(t) * math.factorial(t - 1) * rec(0)
 
 
 # ─── rook cycles (closed alternating row/column walks) ───────────────────────

@@ -76,8 +76,8 @@ class SparseBasis:
         del self._pivot_of[self._stored.pop()[0]]
 
     def express(self, column: Mapping) -> Optional[dict]:
-        """Coefficients writing ``column`` over the added columns, by position,
-        or None when it is outside their span."""
+        """Nonzero coefficients writing ``column`` over the added columns, by
+        position, as ints or Fractions; None when it is outside their span."""
         v, h = self._reduce(column)
         if v:
             return None
@@ -88,7 +88,11 @@ class SparseBasis:
             c = h.pop(t, 0)
             if c:
                 _, _, scale, multipliers = self._stored[t]
-                out[t] = c = Fraction(c) / scale
+                if scale == -1:
+                    c = -c
+                elif scale != 1:
+                    c = Fraction(c) / scale
+                out[t] = c
                 for s, g in multipliers.items():
                     h[s] = h.get(s, 0) - c * g
         return out
@@ -124,24 +128,8 @@ def eliminate(columns: Sequence[Mapping], stop_at_dependency: bool = False) -> E
             kernel = [Fraction(0)] * len(columns)
             kernel[j] = Fraction(1)
             for t, c in basis.express(column).items():
-                kernel[independent[t]] = -c
+                kernel[independent[t]] = Fraction(-c)
         if stop_at_dependency:
             break
     return Elimination(tuple(independent), kernel)
 
-
-def solve_unique(rows: list, rhs: list) -> list | None:
-    """Solve M x = rhs when M has full column rank; None if inconsistent.
-
-    Raises ValueError when the columns are dependent (solution not unique).
-    Entries may be ints or Fractions.
-    """
-    ncols = len(rows[0]) if rows else 0
-    basis = SparseBasis()
-    for j in range(ncols):
-        if not basis.add({r: row[j] for r, row in enumerate(rows)}):
-            raise ValueError("columns are linearly dependent; solution not unique")
-    x = basis.express(dict(enumerate(rhs)))
-    if x is None:
-        return None
-    return [x.get(j, Fraction(0)) for j in range(ncols)]

@@ -118,7 +118,7 @@ def random_single_cycle(t: int, rng: random.Random) -> tuple:
 def build_double_latin(n: int, rng: random.Random) -> DoubleLatinSquare:
     """A stacked double Latin square of even order n, always Hamiltonian."""
     if n < 2 or n % 2:
-        raise ValueError("order must be even and >= 2")
+        raise ValueError("double Latin squares need even order >= 2")
     t = n // 2
     A = random_latin(t, rng.randrange(1 << 30))
     B = random_latin(t, rng.randrange(1 << 30))

@@ -44,3 +44,53 @@ def oracle_permanent(M) -> Fraction:
             term *= Fraction(M[i][perm[i]])
         total += term
     return total
+
+
+def oracle_vertices(kind: str, n: int, d: int) -> set:
+    """Vertices of a small polytope by brute force over every cell subset.
+
+    Cells are the (d+1)-tuples over range(n) in lexicographic order.  The
+    constraints are the axis lines ("omega") or the coordinate hyperplanes
+    ("sigma"), each summing to 1.  A point is a vertex exactly when it is
+    the unique solution supported on its support, so every subset whose
+    columns are independent and whose unique solution is positive gives
+    one; each is returned once, as a tuple of entries.
+    """
+    cells = list(itertools.product(range(n), repeat=d + 1))
+
+    def group(axis, c):
+        # omega: the line along axis through c; sigma: the hyperplane c[axis] fixed
+        return (axis, c[:axis] + c[axis + 1:]) if kind == "omega" else (axis, c[axis])
+
+    groups = sorted({group(a, c) for c in cells for a in range(d + 1)})
+    member = [[1 if group(g[0], c) == g else 0 for c in cells] for g in groups]
+    found = set()
+    for k in range(1, len(cells) + 1):
+        for subset in itertools.combinations(range(len(cells)), k):
+            x = _solve_exactly([[row[j] for j in subset] + [1] for row in member], k)
+            if x is not None and all(v > 0 for v in x):
+                entries = [Fraction(0)] * len(cells)
+                for j, v in zip(subset, x):
+                    entries[j] = v
+                found.add(tuple(entries))
+    return found
+
+
+def _solve_exactly(aug, k):
+    """Unique solution of the augmented system [M | b] with k unknowns, or
+    None when M has dependent columns or the system is inconsistent."""
+    M = [[Fraction(v) for v in row] for row in aug]
+    rank = 0
+    for col in range(k):
+        pivot = next((r for r in range(rank, len(M)) if M[r][col] != 0), None)
+        if pivot is None:
+            return None
+        M[rank], M[pivot] = M[pivot], M[rank]
+        M[rank] = [v / M[rank][col] for v in M[rank]]
+        for r in range(len(M)):
+            if r != rank and M[r][col] != 0:
+                M[r] = [a - M[r][col] * b for a, b in zip(M[r], M[rank])]
+        rank += 1
+    if any(row[k] != 0 for row in M[rank:]):
+        return None
+    return [M[i][k] for i in range(k)]

@@ -6,9 +6,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import oracle_permanent
 from stocharray.bounds import (
+    MAX_REPORT_ORDER,
     construction_count_report,
     factorial_lower_bound,
     latin_count_log_asymptotic,
@@ -53,6 +56,30 @@ def test_permanent_matches_oracle():
                 for _ in range(n)
             ]
         assert permanent(M) == oracle_permanent(M)
+
+
+@st.composite
+def square_matrices(draw):
+    n = draw(st.integers(0, 6))
+    entry = st.integers(-9, 9)
+    if draw(st.booleans()):  # rational: mixed denominators, zeros and ints
+        entry = st.one_of(
+            entry,
+            st.just(Fraction(0)),
+            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+        )
+    return [[draw(entry) for _ in range(n)] for _ in range(n)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_permanent_matches_oracle_property(M):
+    """The common-denominator integer loop gives the exact permanent, as an
+    int for int-only input and as a Fraction once any entry is one."""
+    value = permanent(M)
+    rational = any(isinstance(x, Fraction) for row in M for x in row)
+    assert type(value) is (Fraction if rational else int)
+    assert value == oracle_permanent(M)
 
 
 def random_doubly_stochastic(n, rng, terms=4):
@@ -193,6 +220,16 @@ def test_construction_count_report():
         construction_count_report(5)
     with pytest.raises(ValueError):
         construction_count_report(0)
+
+
+def test_construction_count_report_order_cap():
+    """The cap is the largest even order whose (n-1)! prints in 4300 digits."""
+    assert math.factorial(MAX_REPORT_ORDER - 1) < 10**4300 <= math.factorial(MAX_REPORT_ORDER + 1)
+    top = construction_count_report(MAX_REPORT_ORDER)
+    assert top["first_lower_layer_orderings"] == math.factorial(MAX_REPORT_ORDER - 1)
+    for n in (MAX_REPORT_ORDER + 2, 2000, 10_000_000):
+        with pytest.raises(ValueError, match=f"capped at order {MAX_REPORT_ORDER}"):
+            construction_count_report(n)
 
 
 def count_row_extensions(cols, t):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from stocharray import __version__, certify
+from stocharray.bounds import MAX_REPORT_ORDER
 from stocharray.cli import main
 from stocharray.core import HALF, PolytopeSpec, latin_to_array, to_json_dict, uniform_array
 from stocharray.designs import random_latin
@@ -20,6 +21,16 @@ OMEGA_GOLDEN = str(GOLDENS / "omega-3x3x3.json")
 SIGMA_GOLDEN = str(GOLDENS / "sigma-2x2x2.json")
 SAMPLE_GOLDEN = GOLDENS / "sample-omega-n4-seed7.json"
 WITNESS_GOLDEN = GOLDENS / "verify-omega-n10-latin-midpoint.json"
+REPORT_GOLDEN = GOLDENS / "bounds-report-n10.json"
+PERMANENT_MATRIX = GOLDENS / "permanent-order8-matrix.json"
+PERMANENT_GOLDEN = GOLDENS / "permanent-order8.json"
+ENUMERATE_GOLDEN = GOLDENS / "enumerate-omega-n4-d1.json"
+# committed command outputs and inputs that are not arrays
+NON_ARRAY_GOLDENS = (
+    SAMPLE_GOLDEN, WITNESS_GOLDEN, REPORT_GOLDEN, PERMANENT_MATRIX, PERMANENT_GOLDEN,
+    ENUMERATE_GOLDEN,
+)
+ENUMERATE_ARGV = ("enumerate", "--kind", "omega", "--n", "4", "--d", "1")
 
 
 def run(capsys, *argv):
@@ -275,6 +286,16 @@ def test_bounds_report(capsys):
     assert code == 2
 
 
+def test_bounds_report_order_cap(capsys):
+    payload = run_json(capsys, "bounds", "report", "--n", str(MAX_REPORT_ORDER))
+    assert payload["order"] == MAX_REPORT_ORDER
+    # beyond the cap: refused at once, where (n-1)! would not print or not finish
+    for n in (MAX_REPORT_ORDER + 2, 2000, 10_000_000):
+        code, out, err = run(capsys, "bounds", "report", "--n", str(n))
+        assert code == 2 and out == ""
+        assert f"capped at order {MAX_REPORT_ORDER}" in err
+
+
 # ─── sample ──────────────────────────────────────────────────────────────────
 
 
@@ -351,9 +372,7 @@ def test_verbose_goes_to_stderr_only(capsys):
 
 
 def test_every_golden_fixture_reverifies(capsys):
-    fixtures = sorted(
-        p for p in GOLDENS.glob("*.json") if p not in (SAMPLE_GOLDEN, WITNESS_GOLDEN)
-    )
+    fixtures = sorted(p for p in GOLDENS.glob("*.json") if p not in NON_ARRAY_GOLDENS)
     assert len(fixtures) == 3
     for path in fixtures:
         payload = run_json(capsys, "verify", str(path))
@@ -384,15 +403,36 @@ def test_verify_prints_the_committed_witness_bytes(capsys, tmp_path):
     assert out == WITNESS_GOLDEN.read_text(encoding="utf-8")
 
 
+def test_bounds_report_prints_the_committed_golden_bytes(capsys):
+    _, out, _ = run(capsys, "bounds", "report", "--n", "10")
+    assert out == REPORT_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_bounds_permanent_prints_the_committed_golden_bytes(capsys):
+    """Order 8, mixed denominators, zeros and negative entries."""
+    _, out, _ = run(capsys, "bounds", "permanent", str(PERMANENT_MATRIX))
+    assert out == PERMANENT_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_enumerate_prints_the_committed_golden_bytes(capsys):
+    _, out, _ = run(capsys, *ENUMERATE_ARGV)
+    assert out == ENUMERATE_GOLDEN.read_text(encoding="utf-8")
+
+
 def test_golden_bytes_hold_under_optimize_flag():
-    """With asserts stripped (python -O) the checks still run and the bytes match."""
+    """With asserts stripped (python -O) the checks still run and the bytes match:
+    the builder's certificates for construct, the rank re-check for enumerate."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, "-O", "-m", "stocharray", "construct", "omega", "--n", "10", "--seed", "1"],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (GOLDENS / "omega-n10-seed1.json").read_text(encoding="utf-8")
+    for argv, golden in (
+        (("construct", "omega", "--n", "10", "--seed", "1"), GOLDENS / "omega-n10-seed1.json"),
+        (ENUMERATE_ARGV, ENUMERATE_GOLDEN),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "stocharray", *argv],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == golden.read_text(encoding="utf-8")
 
 
 def test_certificate_failure_exits_one(capsys, monkeypatch):

@@ -3,11 +3,10 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stocharray.linalg import SparseBasis, eliminate, solve_unique
+from stocharray.linalg import SparseBasis, eliminate
 
 
 def naive_rank(rows):
@@ -172,7 +171,7 @@ def test_first_dependency_vector_property(rows):
     assert eliminate(columns_of(rows), stop_at_dependency=True).kernel == x
 
 
-def test_solve_unique_recovers_known_solution():
+def test_express_recovers_known_solution():
     rng = random.Random(14)
     solved = 0
     for _ in range(60):
@@ -183,19 +182,29 @@ def test_solve_unique_recovers_known_solution():
             continue
         x = [Fraction(rng.randrange(-3, 4), rng.randrange(1, 4)) for _ in range(k)]
         b = [sum(row[j] * x[j] for j in range(k)) for row in M]
-        got = solve_unique(M, b)
-        assert got == x
+        basis = SparseBasis()
+        assert all(basis.add(c) for c in columns_of(M))
+        got = basis.express(dict(enumerate(b)))
+        # a coefficient missing from the result is zero
+        assert [got.get(j, 0) for j in range(k)] == x
+        assert all(c for c in got.values())
         solved += 1
     assert solved > 20
 
 
-def test_solve_unique_inconsistent_returns_none():
-    assert solve_unique([[1, 0], [1, 0], [0, 1]], [1, 2, 0]) is None
+def test_express_inconsistent_returns_none():
+    basis = SparseBasis()
+    assert all(basis.add(c) for c in columns_of([[1, 0], [1, 0], [0, 1]]))
+    assert basis.express({0: 1, 1: 2}) is None
 
 
-def test_solve_unique_rejects_dependent_columns():
-    with pytest.raises(ValueError):
-        solve_unique([[1, 1], [2, 2]], [1, 2])
+def test_add_refuses_dependent_column():
+    basis = SparseBasis()
+    first, second = columns_of([[1, 1], [2, 2]])
+    assert basis.add(first)
+    assert not basis.add(second)
+    # the refused column left the basis as it was
+    assert basis.express(second) == {0: 1}
 
 
 def test_empty_and_degenerate_shapes():
