@@ -9,7 +9,6 @@ rational arithmetic.
 from stocharray.core import (
     Array3,
     PolytopeSpec,
-    affine_dimension,
     from_json_dict,
     is_member,
     to_json_dict,
@@ -21,7 +20,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Array3",
     "PolytopeSpec",
-    "affine_dimension",
     "from_json_dict",
     "is_member",
     "to_json_dict",

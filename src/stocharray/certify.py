@@ -22,7 +22,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from stocharray.core import HALF, Array3, PolytopeSpec, cell_groups, is_member
+from stocharray.core import HALF, Array3, PolytopeSpec, cell_groups, group_rows, is_member
 from stocharray.linalg import SparseBasis, eliminate
 
 ONE = Fraction(1)
@@ -308,11 +308,7 @@ def is_vertex_rank(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
 @lru_cache(maxsize=None)
 def rank_of_constraints(spec: PolytopeSpec) -> int:
     """Rank of the full constraint matrix (all cells as columns), from its rows."""
-    rows = [{} for _ in range(spec.group_count)]
-    for i, groups in enumerate(cell_groups(spec)):
-        for g in groups:
-            rows[g][i] = 1
-    return eliminate(rows).rank
+    return eliminate(group_rows(spec)).rank
 
 
 def polytope_dimension(spec: PolytopeSpec) -> int:

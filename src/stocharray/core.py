@@ -189,71 +189,16 @@ def flat_index(n: int, d: int, cell: Cell) -> int:
     return idx
 
 
-# ─── lines and hyperplanes ───────────────────────────────────────────────────
-
-
-def line_cells(n: int, d: int, axis: int, fixed: Sequence[int]) -> list:
-    """Cells of the line along ``axis`` with the other coordinates ``fixed``.
-
-    ``fixed`` lists the d frozen coordinates in axis order, skipping ``axis``.
-    """
-    if not 0 <= axis <= d:
-        raise ValueError(f"axis out of range: {axis}")
-    if len(fixed) != d:
-        raise ValueError(f"need {d} fixed coordinates, got {len(fixed)}")
-    cells = []
-    for v in range(n):
-        coords = list(fixed)
-        coords.insert(axis, v)
-        cells.append(tuple(coords))
-    return cells
-
-
-def iter_lines(n: int, d: int) -> Iterator[tuple]:
-    """Yield (axis, fixed, cells) for all (d+1)*n^d axis-parallel lines."""
-    for axis in range(d + 1):
-        for fixed in itertools.product(range(n), repeat=d):
-            yield axis, fixed, line_cells(n, d, axis, fixed)
-
-
-def hyperplane_cells(n: int, d: int, axis: int, value: int) -> list:
-    """Cells of the coordinate hyperplane ``axis = value``."""
-    if not 0 <= axis <= d:
-        raise ValueError(f"axis out of range: {axis}")
-    if not 0 <= value < n:
-        raise ValueError(f"value out of range: {value}")
-    cells = []
-    for rest in itertools.product(range(n), repeat=d):
-        coords = list(rest)
-        coords.insert(axis, value)
-        cells.append(tuple(coords))
-    return cells
-
-
-def iter_hyperplanes(n: int, d: int) -> Iterator[tuple]:
-    """Yield (axis, value, cells) for all (d+1)*n coordinate hyperplanes."""
-    for axis in range(d + 1):
-        for value in range(n):
-            yield axis, value, hyperplane_cells(n, d, axis, value)
-
-
-def constraint_cell_groups(spec: PolytopeSpec) -> list:
-    """The unit-sum constraint groups of ``spec``: lines (omega) or hyperplanes (sigma).
-
-    Returns a list of cell lists, in a fixed deterministic order.
-    """
-    if spec.kind == "omega":
-        return [cells for _, _, cells in iter_lines(spec.n, spec.d)]
-    return [cells for _, _, cells in iter_hyperplanes(spec.n, spec.d)]
+# ─── constraint groups ───────────────────────────────────────────────────────
 
 
 @lru_cache(maxsize=8)
 def cell_groups(spec: PolytopeSpec) -> tuple:
     """The d+1 ids of the groups through each cell, in flat cell order.
 
-    Group id g is the position of the group in `constraint_cell_groups`:
-    a n^d + (row-major index of the other coordinates) for the line along
-    axis a, and a n + value for the hyperplane on axis a.
+    A group is a unit-sum constraint: the line along axis a (omega), with id
+    a n^d + row-major index of the other d coordinates, or the hyperplane
+    where coordinate a equals v (sigma), with id a n + v.
     """
     n, d = spec.n, spec.d
     ids = list(range(spec.group_count))  # one int object per id, shared by its cells
@@ -267,6 +212,15 @@ def cell_groups(spec: PolytopeSpec) -> tuple:
             groups.append(ids[g])
         out.append(tuple(groups))
     return tuple(out)
+
+
+def group_rows(spec: PolytopeSpec) -> list:
+    """The constraint matrix by rows: each group's sparse row {flat cell: 1}, by id."""
+    rows = [{} for _ in range(spec.group_count)]
+    for i, groups in enumerate(cell_groups(spec)):
+        for g in groups:
+            rows[g][i] = 1
+    return rows
 
 
 # ─── membership and basic polytope facts ─────────────────────────────────────
@@ -294,17 +248,6 @@ def is_member(A: Array3, spec: PolytopeSpec) -> bool:
         for g in groups[i]:
             sums[g] += v.numerator * (scale // v.denominator)
     return sums.count(scale) == len(sums)
-
-
-def affine_dimension(spec: PolytopeSpec) -> int:
-    """Affine dimension of the omega polytope: (n-1)^(d+1).
-
-    The sigma family has no closed form here; use
-    ``certify.rank_of_constraints`` and subtract from the cell count.
-    """
-    if spec.kind != "omega":
-        raise ValueError("closed-form affine dimension applies to kind 'omega' only")
-    return (spec.n - 1) ** (spec.d + 1)
 
 
 def uniform_array(spec: PolytopeSpec) -> Array3:

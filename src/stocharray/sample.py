@@ -23,17 +23,17 @@ from stocharray.core import (
     HALF,
     Array3,
     PolytopeSpec,
-    flat_index,
     fraction_to_json,
+    group_rows,
     is_member,
-    iter_hyperplanes,
-    iter_lines,
     uniform_array,
 )
 from stocharray.linalg import eliminate
 from stocharray.simplex import solve_lp
 
 QUANT = 1 << 32
+
+MAX_LP_ENTRIES = 10**6
 
 CAVEAT = (
     "optima of random linear objectives favor some vertices over others; "
@@ -90,67 +90,55 @@ def vertex_count_upper_bound(n: int, d: int) -> dict:
     }
 
 
-_OMEGA_DROPS = {
-    1: frozenset({(0, (0,))}),
-    2: frozenset({(0, (1, 1)), (1, (1, 0)), (2, (0, 0))}),
-}
+def _dropped_groups(spec: PolytopeSpec) -> frozenset:
+    """Ids (as in `core.cell_groups`) of constraint groups known to be redundant.
+
+    As (axis, other coordinates), the omega lines (0, (0,)) at d=1 and
+    (0, (1, 1)), (1, (1, 0)), (2, (0, 0)) at d=2; for sigma, the
+    hyperplanes where coordinate a = 1..d equals 0.
+    """
+    n, d = spec.n, spec.d
+    if spec.kind == "sigma":
+        return frozenset(a * n for a in range(1, d + 1))
+    if d == 1:
+        return frozenset({0})
+    if d == 2:
+        return frozenset({n + 1, n * n + n, 2 * n * n})
+    return frozenset()
 
 
 @lru_cache(maxsize=None)
 def reduced_constraints(spec: PolytopeSpec) -> tuple:
-    """Constraint rows with known-redundant ones removed, plus the removals.
+    """Constraint rows with the known-redundant groups removed.
 
-    Returns (rows, dropped) where rows are 0/1 lists over flat cell order
-    and dropped is a tuple of the removed cell groups.  The reduced rows
+    Rows are 0/1 tuples over flat cell order, in group-id order.  They
     are verified, once per polytope, to have the same rank as the full
     system; since they are a subset of it, equal rank means an identical
     affine span, so no optimum moves and nothing becomes unbounded.
     """
-    n, d = spec.n, spec.d
-    if spec.kind == "omega":
-        drops = _OMEGA_DROPS.get(d, frozenset())
-        described = [(a, f, cells) for a, f, cells in iter_lines(n, d)]
-    else:
-        drops = frozenset((axis, 0) for axis in range(1, d + 1))
-        described = [(a, v, cells) for a, v, cells in iter_hyperplanes(n, d)]
-    rows = []
-    kept = []
-    dropped = []
-    for key0, key1, cells in described:
-        if (key0, key1) in drops:
-            dropped.append(tuple(cells))
-            continue
-        flat = [flat_index(n, d, c) for c in cells]
-        row = [0] * spec.total_cells
-        for i in flat:
-            row[i] = 1
-        rows.append(tuple(row))
-        kept.append(dict.fromkeys(flat, 1))
-    assert len(dropped) == len(drops)
+    drops = _dropped_groups(spec)
+    kept = [row for g, row in enumerate(group_rows(spec)) if g not in drops]
     if eliminate(kept).rank != rank_of_constraints(spec):
         raise RuntimeError("reduced constraint system lost rank; drop set invalid")
-    return tuple(rows), tuple(dropped)
+    return tuple(tuple(int(i in row) for i in range(spec.total_cells)) for row in kept)
 
 
 def maximize(spec: PolytopeSpec, objective: Objective) -> tuple:
     """Exact maximizer of the objective over the polytope: (vertex, value).
 
     The solver's basic solution is validated against every constraint of
-    the full system, including the dropped rows, and the reported value
-    is recomputed from scratch.
+    the full system, dropped rows included, and the reported value is
+    recomputed from scratch.
     """
     if objective.spec != spec:
         raise ValueError("objective was built for a different polytope")
-    rows, dropped = reduced_constraints(spec)
+    rows = reduced_constraints(spec)
     res = solve_lp(rows, [1] * len(rows), objective.coefficients)
     if res.status != "optimal":
         raise RuntimeError(f"polytope LP reported {res.status}")
     A = Array3(spec.n, spec.d, res.solution)
     if not is_member(A, spec):
         raise RuntimeError("optimum violates the full constraint system")
-    for cells in dropped:
-        if sum((A[c] for c in cells), Fraction(0)) != 1:
-            raise RuntimeError("optimum violates a dropped constraint")
     if objective.value_at(A) != res.objective:
         raise RuntimeError("reported optimum value disagrees with the recomputed one")
     if res.objective < objective.value_at(uniform_array(spec)):
@@ -190,6 +178,11 @@ def run_experiment(spec: PolytopeSpec, trials: int, seed: int = 0) -> SampleRepo
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    entries = spec.group_count * spec.total_cells
+    if entries > MAX_LP_ENTRIES:
+        raise ValueError(
+            f"sample is capped at {MAX_LP_ENTRIES} LP entries (groups x cells); got {entries}"
+        )
     cap = support_size_bound(spec)
     shafts = spec.n**2
     per_trial = []

@@ -46,24 +46,34 @@ def oracle_permanent(M) -> Fraction:
     return total
 
 
+def oracle_groups(kind: str, n: int, d: int) -> list:
+    """The unit-sum constraint groups, each a list of cells in lexicographic order.
+
+    Cells are the (d+1)-tuples over range(n).  "omega" groups are the axis
+    lines, sorted by axis and then by the d coordinates the line holds
+    fixed; "sigma" groups are the coordinate hyperplanes, sorted by axis
+    and then by the value held fixed.  A group's position is its id.
+    """
+    groups = {}
+    for axis in range(d + 1):
+        for c in itertools.product(range(n), repeat=d + 1):
+            fixed = c[:axis] + c[axis + 1:] if kind == "omega" else c[axis]
+            groups.setdefault((axis, fixed), []).append(c)
+    return [groups[key] for key in sorted(groups)]
+
+
 def oracle_vertices(kind: str, n: int, d: int) -> set:
     """Vertices of a small polytope by brute force over every cell subset.
 
-    Cells are the (d+1)-tuples over range(n) in lexicographic order.  The
-    constraints are the axis lines ("omega") or the coordinate hyperplanes
-    ("sigma"), each summing to 1.  A point is a vertex exactly when it is
-    the unique solution supported on its support, so every subset whose
-    columns are independent and whose unique solution is positive gives
-    one; each is returned once, as a tuple of entries.
+    Cells are the (d+1)-tuples over range(n) in lexicographic order, and
+    the constraints are the groups of `oracle_groups`, each summing to 1.
+    A point is a vertex exactly when it is the unique solution supported
+    on its support, so every subset whose columns are independent and
+    whose unique solution is positive gives one; each is returned once,
+    as a tuple of entries.
     """
     cells = list(itertools.product(range(n), repeat=d + 1))
-
-    def group(axis, c):
-        # omega: the line along axis through c; sigma: the hyperplane c[axis] fixed
-        return (axis, c[:axis] + c[axis + 1:]) if kind == "omega" else (axis, c[axis])
-
-    groups = sorted({group(a, c) for c in cells for a in range(d + 1)})
-    member = [[1 if group(g[0], c) == g else 0 for c in cells] for g in groups]
+    member = [[1 if c in g else 0 for c in cells] for g in map(set, oracle_groups(kind, n, d))]
     found = set()
     for k in range(1, len(cells) + 1):
         for subset in itertools.combinations(range(len(cells)), k):

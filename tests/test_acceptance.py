@@ -13,7 +13,7 @@ import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
-from oracles import oracle_count_latin, oracle_permanent
+from oracles import oracle_count_latin, oracle_groups, oracle_permanent
 from stocharray.bounds import (
     factorial_lower_bound,
     permanent,
@@ -33,7 +33,6 @@ from stocharray.core import (
     is_member,
     known_omega_vertex_order3,
     known_sigma_vertex_order2,
-    line_cells,
 )
 from stocharray.designs import (
     BipartiteGraph,
@@ -115,15 +114,13 @@ def test_criterion_02():
 
 @criterion(3, 60.0, "order-10 construction succeeds for 100 consecutive seeds")
 def test_criterion_03():
-    spec = PolytopeSpec("omega", 10, 2)
+    lines = oracle_groups("omega", 10, 2)
     outputs = set()
     for seed in range(100):
         A, cert = construct_vertex(10, seed)
         assert cert.is_vertex and cert.method == "rank"
-        for axis in range(3):
-            for fixed in itertools.product(range(10), repeat=2):
-                cells = line_cells(10, 2, axis, fixed)
-                assert sorted(A[c] for c in cells) == [0] * 8 + [HALF, HALF]
+        for cells in lines:
+            assert sorted(A[c] for c in cells) == [0] * 8 + [HALF, HALF]
         graph = build_support_graph(A, "line")
         assert graph.is_connected and not graph.has_bipartite_component
         outputs.add(A)

@@ -20,6 +20,7 @@ GOLDENS = ROOT / "goldens"
 OMEGA_GOLDEN = str(GOLDENS / "omega-3x3x3.json")
 SIGMA_GOLDEN = str(GOLDENS / "sigma-2x2x2.json")
 SAMPLE_GOLDEN = GOLDENS / "sample-omega-n4-seed7.json"
+SIGMA_SAMPLE_GOLDEN = GOLDENS / "sample-sigma-n4-seed7.json"
 WITNESS_GOLDEN = GOLDENS / "verify-omega-n10-latin-midpoint.json"
 REPORT_GOLDEN = GOLDENS / "bounds-report-n10.json"
 PERMANENT_MATRIX = GOLDENS / "permanent-order8-matrix.json"
@@ -27,10 +28,12 @@ PERMANENT_GOLDEN = GOLDENS / "permanent-order8.json"
 ENUMERATE_GOLDEN = GOLDENS / "enumerate-omega-n4-d1.json"
 # committed command outputs and inputs that are not arrays
 NON_ARRAY_GOLDENS = (
-    SAMPLE_GOLDEN, WITNESS_GOLDEN, REPORT_GOLDEN, PERMANENT_MATRIX, PERMANENT_GOLDEN,
-    ENUMERATE_GOLDEN,
+    SAMPLE_GOLDEN, SIGMA_SAMPLE_GOLDEN, WITNESS_GOLDEN, REPORT_GOLDEN, PERMANENT_MATRIX,
+    PERMANENT_GOLDEN, ENUMERATE_GOLDEN,
 )
 ENUMERATE_ARGV = ("enumerate", "--kind", "omega", "--n", "4", "--d", "1")
+SAMPLE_ARGV = ("sample", "--kind", "omega", "--n", "4", "--d", "2", "--trials", "5", "--seed", "7")
+SIGMA_SAMPLE_ARGV = ("sample", "--kind", "sigma", *SAMPLE_ARGV[3:])
 
 
 def run(capsys, *argv):
@@ -43,6 +46,16 @@ def run_json(capsys, *argv):
     code, out, err = run(capsys, *argv)
     assert code == 0, f"exit {code}, stderr: {err}"
     return json.loads(out)
+
+
+def run_subprocess(*argv, optimize=False):
+    """Run the CLI in a fresh interpreter, with asserts stripped when ``optimize``."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    flags = ["-O"] if optimize else []
+    return subprocess.run(
+        [sys.executable, *flags, "-m", "stocharray", *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
 
 
 # ─── global dispatch ─────────────────────────────────────────────────────────
@@ -311,6 +324,23 @@ def test_sample_assignment_family(capsys):
     assert "caveat" in payload
 
 
+def test_sample_single_cell_omega_d2():
+    """At n=1 the three ids of the d=2 drop set coincide, as the lines they name
+    at n >= 2 do not exist; with or without asserts the run prints the same bytes."""
+    argv = ("sample", "--kind", "omega", "--n", "1", "--d", "2")
+    plain = run_subprocess(*argv)
+    optimized = run_subprocess(*argv, optimize=True)
+    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+    assert plain.stdout == optimized.stdout
+    assert json.loads(plain.stdout)["aggregate"]["vertex_count"] == 1
+
+
+def test_sample_lp_size_cap(capsys):
+    code, out, err = run(capsys, "sample", "--kind", "omega", "--n", "6", "--d", "3")
+    assert code == 2 and out == ""
+    assert "capped at 1000000 LP entries" in err and "1119744" in err
+
+
 def test_sample_out_file_matches_stdout(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run(
@@ -386,11 +416,14 @@ def test_construct_prints_the_committed_golden_bytes(capsys):
 
 
 def test_sample_prints_the_committed_golden_bytes(capsys):
-    _, out, _ = run(
-        capsys, "sample", "--kind", "omega", "--n", "4", "--d", "2",
-        "--trials", "5", "--seed", "7",
-    )
+    _, out, _ = run(capsys, *SAMPLE_ARGV)
     assert out == SAMPLE_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_sigma_sample_prints_the_committed_golden_bytes(capsys):
+    """Pins the sigma drop set: the hyperplanes where coordinate 1 or 2 is 0."""
+    _, out, _ = run(capsys, *SIGMA_SAMPLE_ARGV)
+    assert out == SIGMA_SAMPLE_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_verify_prints_the_committed_witness_bytes(capsys, tmp_path):
@@ -421,16 +454,15 @@ def test_enumerate_prints_the_committed_golden_bytes(capsys):
 
 def test_golden_bytes_hold_under_optimize_flag():
     """With asserts stripped (python -O) the checks still run and the bytes match:
-    the builder's certificates for construct, the rank re-check for enumerate."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    the builder's certificates for construct, the rank re-check for enumerate,
+    the drop-set rank check and the optimum checks for sample."""
     for argv, golden in (
         (("construct", "omega", "--n", "10", "--seed", "1"), GOLDENS / "omega-n10-seed1.json"),
         (ENUMERATE_ARGV, ENUMERATE_GOLDEN),
+        (SAMPLE_ARGV, SAMPLE_GOLDEN),
+        (SIGMA_SAMPLE_ARGV, SIGMA_SAMPLE_GOLDEN),
     ):
-        proc = subprocess.run(
-            [sys.executable, "-O", "-m", "stocharray", *argv],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = run_subprocess(*argv, optimize=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == golden.read_text(encoding="utf-8")
 

@@ -8,26 +8,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import oracle_groups
+from stocharray.certify import polytope_dimension
 from stocharray.core import (
     HALF,
     Array3,
     PolytopeSpec,
-    affine_dimension,
     array_to_latin,
     cell_groups,
-    constraint_cell_groups,
     flat_index,
     fraction_from_json,
     fraction_to_json,
     from_json_dict,
-    hyperplane_cells,
+    group_rows,
     is_member,
-    iter_hyperplanes,
-    iter_lines,
     known_omega_vertex_order3,
     known_sigma_vertex_order2,
     latin_to_array,
-    line_cells,
     to_json_dict,
     uniform_array,
 )
@@ -92,39 +89,41 @@ def test_flat_index_is_row_major():
     assert flat_index(3, 2, (2, 2, 2)) == 26
 
 
+def rows_as_cells(spec, g):
+    """The cells of group g, read off `group_rows`, in flat order."""
+    cells = list(itertools.product(range(spec.n), repeat=spec.d + 1))
+    return [cells[i] for i in sorted(group_rows(spec)[g])]
+
+
 def test_line_cells_layout():
-    """A line varies one axis; ``fixed`` lists the others in axis order."""
-    assert line_cells(3, 2, 0, (1, 2)) == [(0, 1, 2), (1, 1, 2), (2, 1, 2)]
-    assert line_cells(3, 2, 1, (0, 2)) == [(0, 0, 2), (0, 1, 2), (0, 2, 2)]
-    assert line_cells(3, 2, 2, (0, 1)) == [(0, 1, 0), (0, 1, 1), (0, 1, 2)]
-    with pytest.raises(ValueError):
-        line_cells(3, 2, 3, (0, 0))
-    with pytest.raises(ValueError):
-        line_cells(3, 2, 0, (0,))
+    """A line varies one axis; its id is a n^d + row-major index of the others."""
+    spec = PolytopeSpec("omega", 3, 2)
+    assert rows_as_cells(spec, 0 * 9 + 1 * 3 + 2) == [(0, 1, 2), (1, 1, 2), (2, 1, 2)]
+    assert rows_as_cells(spec, 1 * 9 + 0 * 3 + 2) == [(0, 0, 2), (0, 1, 2), (0, 2, 2)]
+    assert rows_as_cells(spec, 2 * 9 + 0 * 3 + 1) == [(0, 1, 0), (0, 1, 1), (0, 1, 2)]
 
 
 def test_line_and_hyperplane_counts():
     for n, d in [(2, 1), (3, 2), (2, 3)]:
-        lines = list(iter_lines(n, d))
+        lines = group_rows(PolytopeSpec("omega", n, d))
         assert len(lines) == (d + 1) * n**d
-        assert all(len(cells) == n for _, _, cells in lines)
-        planes = list(iter_hyperplanes(n, d))
+        assert all(len(row) == n for row in lines)
+        planes = group_rows(PolytopeSpec("sigma", n, d))
         assert len(planes) == (d + 1) * n
-        assert all(len(cells) == n**d for _, _, cells in planes)
-    assert hyperplane_cells(2, 2, 1, 0) == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]
+        assert all(len(row) == n**d for row in planes)
+    # the hyperplane where coordinate a equals v has id a n + v
+    sigma = PolytopeSpec("sigma", 2, 2)
+    assert rows_as_cells(sigma, 1 * 2 + 0) == [(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1)]
 
 
 def test_constraint_group_counts():
-    assert len(constraint_cell_groups(PolytopeSpec("omega", 3, 2))) == 27
-    assert len(constraint_cell_groups(PolytopeSpec("sigma", 3, 2))) == 9
-    # every cell is covered by exactly d+1 groups in both families
+    for kind, count in (("omega", 27), ("sigma", 9)):
+        index = cell_groups(PolytopeSpec(kind, 3, 2))
+        assert len({g for groups in index for g in groups}) == count
+    # every cell lies in exactly d+1 groups in both families
     for kind in ("omega", "sigma"):
-        spec = PolytopeSpec(kind, 2, 2)
-        cover: dict = {}
-        for group in constraint_cell_groups(spec):
-            for c in group:
-                cover[c] = cover.get(c, 0) + 1
-        assert set(cover.values()) == {3}
+        index = cell_groups(PolytopeSpec(kind, 2, 2))
+        assert {len(set(groups)) for groups in index} == {3}
 
 
 def test_is_member():
@@ -152,7 +151,9 @@ def naive_is_member(A, spec):
     """Dense oracle: every entry nonnegative, every group sums to exactly 1."""
     if any(v < 0 for v in A.entries):
         return False
-    return all(sum(A[c] for c in cells) == 1 for cells in constraint_cell_groups(spec))
+    return all(
+        sum(A[c] for c in cells) == 1 for cells in oracle_groups(spec.kind, spec.n, spec.d)
+    )
 
 
 @st.composite
@@ -203,21 +204,20 @@ def test_cell_groups_index_matches_the_groups():
     for kind, n, d in itertools.product(("omega", "sigma"), (1, 2, 3), (1, 2, 3)):
         spec = PolytopeSpec(kind, n, d)
         index = cell_groups(spec)
-        groups = constraint_cell_groups(spec)
+        groups = oracle_groups(kind, n, d)
         assert spec.group_count == len(groups)
         through = [[] for _ in index]
         for g, cells in enumerate(groups):
             for c in cells:
                 through[flat_index(n, d, c)].append(g)
         assert [list(t) for t in index] == through
+        assert group_rows(spec) == [{flat_index(n, d, c): 1 for c in cells} for cells in groups]
 
 
 def test_affine_dimension_closed_form():
-    assert affine_dimension(PolytopeSpec("omega", 3, 2)) == 8
-    assert affine_dimension(PolytopeSpec("omega", 2, 1)) == 1
-    assert affine_dimension(PolytopeSpec("omega", 4, 5)) == 729
-    with pytest.raises(ValueError):
-        affine_dimension(PolytopeSpec("sigma", 3, 2))
+    """The omega polytope has affine dimension (n-1)^(d+1)."""
+    for n, d in ((3, 2), (2, 1), (3, 4), (4, 5)):
+        assert polytope_dimension(PolytopeSpec("omega", n, d)) == (n - 1) ** (d + 1)
 
 
 def test_uniform_array_values():

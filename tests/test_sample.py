@@ -12,6 +12,7 @@ from stocharray.core import PolytopeSpec, flat_index, latin_to_array, uniform_ar
 from stocharray.designs import random_latin
 from stocharray.sample import (
     CAVEAT,
+    MAX_LP_ENTRIES,
     Objective,
     QUANT,
     gaussian_objective,
@@ -86,16 +87,36 @@ def test_reduced_constraints_drop_counts():
         (PolytopeSpec("sigma", 3, 2), 2),
         (PolytopeSpec("omega", 2, 3), 0),
         (PolytopeSpec("sigma", 4, 1), 1),
+        # n=1: the three ids of the d=2 drop set coincide
+        (PolytopeSpec("omega", 1, 2), 1),
     ]
     for spec, expect_dropped in cases:
-        rows, dropped = reduced_constraints(spec)
-        assert len(dropped) == expect_dropped
+        rows = reduced_constraints(spec)
         if spec.kind == "omega":
             total_groups = (spec.d + 1) * spec.n**spec.d
         else:
             total_groups = (spec.d + 1) * spec.n
         assert len(rows) == total_groups - expect_dropped
         assert all(len(r) == spec.total_cells for r in rows)
+
+
+def test_run_experiment_lp_size_cap(monkeypatch):
+    """Polytopes whose dense LP (groups x cells) exceeds the cap are refused
+    before the first trial builds an objective or a constraint row."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(spec, seed):
+        raise Reached
+
+    monkeypatch.setattr(sample, "gaussian_objective", reached)
+    with pytest.raises(ValueError, match=f"capped at {MAX_LP_ENTRIES} LP entries"):
+        run_experiment(PolytopeSpec("omega", 6, 3), trials=1)  # 1,119,744 entries
+    # 50,421, 65,536 and 312,500 entries: slow, but allowed
+    for n, d in ((7, 2), (4, 3), (5, 3)):
+        with pytest.raises(Reached):
+            run_experiment(PolytopeSpec("omega", n, d), trials=1)
 
 
 def test_maximize_assignment_is_permutation():

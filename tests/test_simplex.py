@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import oracle_groups
 from stocharray import simplex
-from stocharray.core import PolytopeSpec, constraint_cell_groups, flat_index
+from stocharray.core import flat_index
 from stocharray.simplex import SimplexResult, solve_lp
 
 
@@ -168,10 +169,9 @@ def test_repeat_solves_of_one_system_match_fresh_solves():
 
 
 def doubly_stochastic_lp(n):
-    spec = PolytopeSpec("omega", n, 1)
     rows = []
-    for group in constraint_cell_groups(spec):
-        row = [0] * spec.total_cells
+    for group in oracle_groups("omega", n, 1):
+        row = [0] * n * n
         for c in group:
             row[flat_index(n, 1, c)] = 1
         rows.append(row)
