@@ -1,18 +1,15 @@
 """Exact permanents and counting bounds for designs and vertices.
 
-The permanent routine is exact over integers or rationals; the named
-bounds are classical inequalities (a factorial lower bound and a
-row-sum-product upper bound for permanents of doubly stochastic or 0/1
-matrices) plus log-scale estimates used to report how many distinct
-outputs the seeded constructions can reach.
+The permanent routine is exact over integers or rationals.  The rest
+are the largest vertex support of each polytope and log-scale estimates
+used to report how many distinct outputs the seeded constructions can
+reach.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-
-import mpmath
 
 from stocharray.core import PolytopeSpec
 from stocharray.designs import count_latin
@@ -55,51 +52,6 @@ def permanent(M) -> object:
     if any(isinstance(x, Fraction) for r in rows for x in r):
         return Fraction(total, D**n)
     return total
-
-
-def factorial_lower_bound(n: int) -> Fraction:
-    """n!/n^n: the minimum permanent over doubly stochastic order-n matrices."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return Fraction(math.factorial(n), n**n)
-
-
-def rowsum_upper_bound(row_sums) -> mpmath.mpf:
-    """Product of (r!)^(1/r) over the row sums, at 60 decimal digits.
-
-    Bounds the permanent of any 0/1 matrix with the given row sums from
-    above.  Rows with sum 0 contribute the factor 1 (and force permanent
-    zero anyway).  Use `rowsum_bound_holds` for exact comparisons; this
-    value is for display.
-    """
-    with mpmath.workdps(60):
-        out = mpmath.mpf(1)
-        for r in row_sums:
-            if r < 0:
-                raise ValueError("row sums must be nonnegative")
-            if r:
-                out *= mpmath.power(mpmath.factorial(r), mpmath.mpf(1) / r)
-        return +out
-
-
-def rowsum_bound_holds(value, row_sums) -> bool:
-    """Exactly decide value <= prod (r!)^(1/r), avoiding any rounding.
-
-    Both sides are raised to the lcm L of the nonzero row sums, turning
-    the comparison into value^L <= prod (r!)^(L/r) over plain integers.
-    """
-    if value < 0:
-        raise ValueError("value must be nonnegative")
-    nonzero = [r for r in row_sums if r]
-    if not nonzero:
-        return value <= 1
-    L = math.lcm(*nonzero)
-    frac = Fraction(value)
-    lhs = frac.numerator**L
-    rhs_num = 1
-    for r in nonzero:
-        rhs_num *= math.factorial(r) ** (L // r)
-    return lhs <= rhs_num * frac.denominator**L
 
 
 def latin_count_log_asymptotic(n: int) -> float:

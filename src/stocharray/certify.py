@@ -67,20 +67,16 @@ class GraphComponent:
     odd_cycle: Optional[tuple] = None
 
 
-MODES = ("line", "hyperplane")
-
-
 @dataclass(frozen=True, eq=False)
 class SupportGraph:
     """Graph on the value-1/2 cells of a half-integral member.
 
-    Cells are adjacent when they share a constraint group: a line in
-    "line" mode, a coordinate hyperplane in "hyperplane" mode.  Value-1
+    Cells are adjacent when they share a constraint group: a line of an
+    omega member, a coordinate hyperplane of a sigma member.  Value-1
     cells exhaust their groups, are provably immovable, and are never
     included.
     """
 
-    mode: str
     cells: tuple
     edges: frozenset
     components: tuple
@@ -104,22 +100,13 @@ def _require_half_integral_member(A: Array3, spec: PolytopeSpec) -> None:
             raise ValueError(f"entry at {c} is {A.entries[i]}, not in {{0, 1/2, 1}}")
 
 
-def _mode_of(spec: PolytopeSpec) -> str:
-    return "line" if spec.kind == "omega" else "hyperplane"
+def build_support_graph(A: Array3, spec: PolytopeSpec) -> SupportGraph:
+    """Adjacency structure of the 1/2-cells of a half-integral member of spec.
 
-
-def build_support_graph(A: Array3, mode: str = "line") -> SupportGraph:
-    """Adjacency structure of the 1/2-cells of a half-integral member.
-
-    ``mode`` selects the adjacency relation ("line" or "hyperplane") and
-    thereby the polytope family the array is validated against.  Every
-    constraint group of a half-integral member carries either one
+    Every constraint group of a half-integral member carries either one
     value-1 cell or exactly two value-1/2 cells, so the edge set is read
-    directly off the groups.
+    directly off the groups of ``spec``.
     """
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
-    spec = PolytopeSpec("omega" if mode == "line" else "sigma", A.n, A.d)
     _require_half_integral_member(A, spec)
     groups = cell_groups(spec)
     halves = []
@@ -171,7 +158,7 @@ def build_support_graph(A: Array3, mode: str = "line") -> SupportGraph:
         else:
             walk = _odd_walk(parent, *conflict)
             components.append(GraphComponent(tuple(comp), False, odd_cycle=walk))
-    return SupportGraph(mode, halves, frozenset(edges), tuple(components))
+    return SupportGraph(halves, frozenset(edges), tuple(components))
 
 
 def _odd_walk(parent: dict, u, v) -> tuple:
@@ -200,9 +187,7 @@ def half_integral_certificate(A: Array3, spec: PolytopeSpec) -> VertexCertificat
     shifting its two parts by +1/4 and -1/4 preserves every group sum, so
     X = A + shift and Y = A - shift are distinct members averaging to A.
     """
-    if (A.n, A.d) != (spec.n, spec.d):
-        raise ValueError("array shape does not match the polytope")
-    graph = build_support_graph(A, _mode_of(spec))
+    graph = build_support_graph(A, spec)
     for comp in graph.components:
         if comp.is_bipartite:
             delta = {}
@@ -241,7 +226,7 @@ def certify_construction(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
     graph certificate's acceptance; the rank certificate must agree, and
     is returned.
     """
-    graph = build_support_graph(A, _mode_of(spec))
+    graph = build_support_graph(A, spec)
     if not graph.is_connected or graph.has_bipartite_component:
         raise CertificateError(
             "construction invariant broken: support graph must be one odd component"
@@ -309,11 +294,6 @@ def is_vertex_rank(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
 def rank_of_constraints(spec: PolytopeSpec) -> int:
     """Rank of the full constraint matrix (all cells as columns), from its rows."""
     return eliminate(group_rows(spec)).rank
-
-
-def polytope_dimension(spec: PolytopeSpec) -> int:
-    """Dimension of the polytope's affine hull: cells minus constraint rank."""
-    return spec.total_cells - rank_of_constraints(spec)
 
 
 # ─── exhaustive enumeration ──────────────────────────────────────────────────

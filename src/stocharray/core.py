@@ -82,10 +82,6 @@ class Array3:
         raise AttributeError("Array3 is immutable")
 
     @classmethod
-    def zeros(cls, n: int, d: int) -> "Array3":
-        return cls(n, d, [0] * n ** (d + 1))
-
-    @classmethod
     def from_cells(cls, n: int, d: int, values: Mapping[Cell, object]) -> "Array3":
         """Build from a cell -> value mapping; unmentioned cells are 0."""
         flat = [Fraction(0)] * n ** (d + 1)
@@ -256,35 +252,6 @@ def uniform_array(spec: PolytopeSpec) -> Array3:
     return Array3(spec.n, spec.d, [value] * spec.total_cells)
 
 
-def latin_to_array(square) -> Array3:
-    """Encode a Latin square L as the 0/1 member with A[i, j, L[i, j]] = 1."""
-    n = square.order
-    values = {}
-    for i in range(n):
-        for j in range(n):
-            values[(i, j, square.grid[i][j])] = 1
-    return Array3.from_cells(n, 2, values)
-
-
-def array_to_latin(A: Array3):
-    """Inverse of `latin_to_array`; raises if A is not a 0/1 line-stochastic cube."""
-    from . import designs
-
-    if A.d != 2:
-        raise ValueError("array_to_latin needs a 3-way array")
-    n = A.n
-    grid = [[None] * n for _ in range(n)]
-    for (i, j, k) in A.support():
-        if A[(i, j, k)] != 1:
-            raise ValueError("array has a non-0/1 entry")
-        if grid[i][j] is not None:
-            raise ValueError("two symbols in one cell")
-        grid[i][j] = k
-    if any(v is None for row in grid for v in row):
-        raise ValueError("array does not cover every (i, j)")
-    return designs.LatinSquare(grid)
-
-
 # ─── JSON interchange ────────────────────────────────────────────────────────
 
 
@@ -343,44 +310,3 @@ def from_json_dict(obj: Mapping) -> tuple:
     if A.n != n or A.d != d:
         raise ValueError("entries shape disagrees with declared n, d")
     return spec, A
-
-
-# ─── known small vertices (used as fixtures and CLI demos) ───────────────────
-
-
-def known_omega_vertex_order3() -> Array3:
-    """The smallest line-stochastic vertex with entries {0, 1/2, 1} (n=3, d=2).
-
-    Not the encoding of any Latin square: layer k=0 holds a single 1 and a
-    2x2 block of halves, and the half-cells form one connected odd-cycled
-    structure.  Layers below are A[., ., k].
-    """
-    h = HALF
-    layers = [
-        [[1, 0, 0], [0, h, h], [0, h, h]],
-        [[0, h, h], [h, h, 0], [h, 0, h]],
-        [[0, h, h], [h, 0, h], [h, h, 0]],
-    ]
-    return _from_layers(layers)
-
-
-def known_sigma_vertex_order2() -> Array3:
-    """The all-halves hyperplane-stochastic vertex of order n=2, d=2."""
-    h = HALF
-    layers = [
-        [[h, 0], [0, h]],
-        [[0, h], [h, 0]],
-    ]
-    return _from_layers(layers)
-
-
-def _from_layers(layers) -> Array3:
-    """Assemble A from layer matrices: A[i, j, k] = layers[k][i][j]."""
-    n = len(layers)
-    values = {}
-    for k, layer in enumerate(layers):
-        for i in range(n):
-            for j in range(n):
-                if layer[i][j]:
-                    values[(i, j, k)] = layer[i][j]
-    return Array3.from_cells(n, 2, values)

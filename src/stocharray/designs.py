@@ -1,19 +1,18 @@
 """Combinatorial designs and graph tools feeding the vertex constructions.
 
 Latin squares (random generation, exhaustive counting), rook cycles
-through a grid (closed walks alternating row and column steps, canonical
-up to rotation and reversal), double Latin squares built from two blocks
-and a cyclic row relabeling, and bipartite matching / 2-factor
-machinery.  Symbols and indices are 0-based internally.
+through a grid (closed walks alternating row and column steps), double
+Latin squares built from two blocks and a cyclic row relabeling, and
+bipartite matching / 2-factor machinery.  Symbols and indices are
+0-based internally.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 
 class MatchingError(RuntimeError):
@@ -63,110 +62,40 @@ class LatinSquare:
         return f"LatinSquare(order={self.order})"
 
 
-def _fill_latin(t: int, choose, forbid=None):
-    """Cell-by-cell backtracking fill; `choose` orders candidate symbols.
+def random_latin(t: int, seed: int) -> LatinSquare:
+    """Uniformly seeded random Latin square of order t (same seed, same square).
 
-    Returns a grid or None.  ``forbid[i][j]`` optionally bans one symbol
-    per cell (used to build squares discordant with a given one).
+    Fills cell by cell in row-major order, backtracking, and tries each
+    cell's free symbols in an order shuffled by the seeded generator.
     """
+    if t < 1:
+        raise ValueError("order must be >= 1")
+    rng = random.Random(seed)
     grid = [[-1] * t for _ in range(t)]
     row_free = [(1 << t) - 1 for _ in range(t)]
     col_free = [(1 << t) - 1 for _ in range(t)]
 
-    def rec(pos: int) -> bool:
+    def fill(pos: int) -> bool:
         if pos == t * t:
             return True
         i, j = divmod(pos, t)
         avail = row_free[i] & col_free[j]
-        if forbid is not None:
-            avail &= ~(1 << forbid[i][j])
-        for s in choose(avail, pos):
+        symbols = [s for s in range(t) if avail >> s & 1]
+        rng.shuffle(symbols)
+        for s in symbols:
             bit = 1 << s
             grid[i][j] = s
             row_free[i] ^= bit
             col_free[j] ^= bit
-            if rec(pos + 1):
+            if fill(pos + 1):
                 return True
             row_free[i] ^= bit
             col_free[j] ^= bit
-        grid[i][j] = -1
         return False
 
-    return grid if rec(0) else None
-
-
-def _bits(mask: int) -> list:
-    out = []
-    s = 0
-    while mask:
-        if mask & 1:
-            out.append(s)
-        mask >>= 1
-        s += 1
-    return out
-
-
-def random_latin(t: int, seed: int) -> LatinSquare:
-    """Uniformly seeded random Latin square of order t (same seed, same square)."""
-    if t < 1:
-        raise ValueError("order must be >= 1")
-    rng = random.Random(seed)
-
-    def choose(avail, _pos):
-        symbols = _bits(avail)
-        rng.shuffle(symbols)
-        return symbols
-
-    grid = _fill_latin(t, choose)
-    assert grid is not None, "backtracking cannot exhaust: Latin squares always exist"
+    filled = fill(0)
+    assert filled, "backtracking cannot exhaust: Latin squares always exist"
     return LatinSquare(grid)
-
-
-def random_latin_discordant(base: LatinSquare, seed: int) -> LatinSquare:
-    """A random Latin square differing from ``base`` in every cell."""
-    t = base.order
-    if t < 2:
-        raise ValueError("no discordant square exists for order 1")
-    rng = random.Random(seed)
-
-    def choose(avail, _pos):
-        symbols = _bits(avail)
-        rng.shuffle(symbols)
-        return symbols
-
-    grid = _fill_latin(t, choose, forbid=[list(r) for r in base.grid])
-    if grid is None:
-        raise MatchingError("no discordant Latin square found")
-    return LatinSquare(grid)
-
-
-def iter_latin_squares(t: int) -> Iterator[LatinSquare]:
-    """Exhaustively enumerate all order-t Latin squares (row-major backtracking)."""
-    if t < 1:
-        raise ValueError("order must be >= 1")
-    grid = [[-1] * t for _ in range(t)]
-    row_free = [(1 << t) - 1 for _ in range(t)]
-    col_free = [(1 << t) - 1 for _ in range(t)]
-
-    def rec(pos: int):
-        if pos == t * t:
-            yield LatinSquare([row[:] for row in grid])
-            return
-        i, j = divmod(pos, t)
-        avail = row_free[i] & col_free[j]
-        while avail:
-            bit = avail & -avail
-            avail ^= bit
-            s = bit.bit_length() - 1
-            grid[i][j] = s
-            row_free[i] ^= bit
-            col_free[j] ^= bit
-            yield from rec(pos + 1)
-            row_free[i] ^= bit
-            col_free[j] ^= bit
-        grid[i][j] = -1
-
-    yield from rec(0)
 
 
 def count_latin(t: int) -> int:
@@ -210,8 +139,7 @@ class HCycle:
     Encoded by two permutations ``rows`` and ``cols`` of range(n): the cell
     sequence is (r0,c0), (r1,c0), (r1,c1), (r2,c1), ..., (r0, c_{n-1}).
     Two encodings describe the same cell set exactly when they differ by a
-    simultaneous rotation or by reversal; `canonical` picks the
-    lexicographic minimum over those 2n encodings.
+    simultaneous rotation or by reversal.
     """
 
     __slots__ = ("rows", "cols")
@@ -243,57 +171,8 @@ class HCycle:
             out.append((self.rows[(t + 1) % n], self.cols[t]))
         return out
 
-    def variants(self) -> list:
-        """All 2n encodings of this cell set (n rotations x 2 directions)."""
-        n = self.n
-        rev_rows = (self.rows[0],) + tuple(reversed(self.rows[1:]))
-        rev_cols = tuple(reversed(self.cols))
-        out = []
-        for rows, cols in ((self.rows, self.cols), (rev_rows, rev_cols)):
-            for t in range(n):
-                out.append((rows[t:] + rows[:t], cols[t:] + cols[:t]))
-        return out
-
-    def canonical(self) -> "HCycle":
-        rows, cols = min(self.variants())
-        return HCycle(rows, cols)
-
-    def __eq__(self, other):
-        if not isinstance(other, HCycle) or other.n != self.n:
-            return False
-        return min(self.variants()) == min(other.variants())
-
-    def __hash__(self):
-        return hash(min(self.variants()))
-
     def __repr__(self):
         return f"HCycle(rows={self.rows}, cols={self.cols})"
-
-
-def count_h_cycles(n: int) -> int:
-    """Number of distinct rook cycles on an n x n grid: n! (n-1)! / 2."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return math.factorial(n) * math.factorial(n - 1) // 2
-
-
-def iter_h_cycles(n: int) -> Iterator[HCycle]:
-    """All distinct rook cycles, one canonical representative each.
-
-    Exhaustive over n! (n-1)! encodings with the first row pinned to 0;
-    intended for small n.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rest = list(range(1, n))
-    seen = set()
-    for rows_tail in itertools.permutations(rest):
-        rows = (0,) + rows_tail
-        for cols in itertools.permutations(range(n)):
-            key = min(HCycle(rows, cols).variants())
-            if key not in seen:
-                seen.add(key)
-                yield HCycle(*key)
 
 
 def random_h_cycle(n: int, seed: int) -> HCycle:
@@ -450,15 +329,6 @@ class BipartiteGraph:
     @classmethod
     def from_edges(cls, n_left: int, n_right: int, edges) -> "BipartiteGraph":
         return cls(n_left, n_right, frozenset((u, v) for u, v in edges))
-
-    @classmethod
-    def from_matrix(cls, M) -> "BipartiteGraph":
-        edges = [(u, v) for u, row in enumerate(M) for v, x in enumerate(row) if x]
-        return cls.from_edges(len(M), len(M[0]) if M else 0, edges)
-
-    @classmethod
-    def complete(cls, n: int) -> "BipartiteGraph":
-        return cls.from_edges(n, n, itertools.product(range(n), range(n)))
 
     def adjacency(self) -> list:
         adj = [[] for _ in range(self.n_left)]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from stocharray.bounds import log_of_int, support_size_bound
+from stocharray.bounds import support_size_bound
 from stocharray.certify import is_vertex_rank, half_integral_certificate, rank_of_constraints
 from stocharray.core import (
     HALF,
@@ -34,6 +34,9 @@ from stocharray.simplex import solve_lp
 QUANT = 1 << 32
 
 MAX_LP_ENTRIES = 10**6
+
+# every trial is kept for the report, so the count bounds both time and memory
+MAX_TRIALS = 10**4
 
 CAVEAT = (
     "optima of random linear objectives favor some vertices over others; "
@@ -69,25 +72,6 @@ def gaussian_objective(spec: PolytopeSpec, seed: int) -> Objective:
         z = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
         coeffs.append(Fraction(round(z * QUANT), QUANT))
     return Objective(spec, tuple(coeffs), seed)
-
-
-def vertex_count_upper_bound(n: int, d: int) -> dict:
-    """Log-scale cap on how many vertices the line-stochastic polytope has.
-
-    A vertex is a basic solution, so picking which (d+1)n^d cells may be
-    basic bounds the count by C(n^(d+1), (d+1)n^d).  Reported with its
-    two standard relaxations, (n e/(d+1))^((d+1)n^d) and n^((d+1)n^d),
-    all as natural logs.
-    """
-    if n < 2 or d < 1:
-        raise ValueError("need n >= 2 and d >= 1")
-    cells = n ** (d + 1)
-    basic = (d + 1) * n**d
-    return {
-        "log_binomial": log_of_int(math.comb(cells, basic)),
-        "log_relaxation": basic * (math.log(n) + 1 - math.log(d + 1)),
-        "log_power_form": basic * math.log(n),
-    }
 
 
 def _dropped_groups(spec: PolytopeSpec) -> frozenset:
@@ -178,6 +162,8 @@ def run_experiment(spec: PolytopeSpec, trials: int, seed: int = 0) -> SampleRepo
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    if trials > MAX_TRIALS:
+        raise ValueError(f"sample is capped at {MAX_TRIALS} trials; got {trials}")
     entries = spec.group_count * spec.total_cells
     if entries > MAX_LP_ENTRIES:
         raise ValueError(

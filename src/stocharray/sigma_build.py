@@ -13,7 +13,6 @@ permutation tuple since all entries are fractional.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Mapping
 
@@ -55,18 +54,6 @@ class SymbolMatrix:
         )
 
 
-def count_symbol_fillings(n: int) -> int:
-    """Fillings per rook cycle once the triangle is planted: (2n-3)!/2^(n-2).
-
-    After symbols (0, 1, 0) occupy the first three cells, the remaining
-    2n-3 cells receive the second copy of symbol 1 and both copies of
-    each of the n-2 symbols 2..n-1, in any order.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    return math.factorial(2 * n - 3) // 2 ** (n - 2)
-
-
 def build_symbol_matrix(H: HCycle, seed: int) -> SymbolMatrix:
     """Plant the (0, 1, 0) triangle on H's first cells, shuffle the rest."""
     n = H.n
@@ -94,20 +81,3 @@ def construct_sigma_vertex(n: int, seed: int = 0) -> tuple:
     A = M.to_array()
     return A, certify_construction(A, PolytopeSpec("sigma", n, 2))
 
-
-def tuple_to_array(perms) -> Array3:
-    """The 0/1 member encoding a d-tuple of permutations.
-
-    Cell (i, p1(i), ..., pd(i)) carries 1 for each i; these integral
-    members are exactly the 0/1 points of the hyperplane-stochastic
-    family, (n!)^d of them.
-    """
-    perms = tuple(tuple(p) for p in perms)
-    if not perms:
-        raise ValueError("need at least one permutation")
-    n = len(perms[0])
-    for p in perms:
-        if sorted(p) != list(range(n)):
-            raise ValueError("each component must be a permutation of range(n)")
-    values = {(i,) + tuple(p[i] for p in perms): 1 for i in range(n)}
-    return Array3.from_cells(n, len(perms), values)

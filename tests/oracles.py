@@ -4,7 +4,9 @@ Everything here is written against first principles (brute force or
 textbook recursions) and deliberately shares no code with the package.
 """
 
+import functools
 import itertools
+import math
 from fractions import Fraction
 
 
@@ -12,26 +14,92 @@ def oracle_count_latin(t: int) -> int:
     """Row-by-row completion count over whole permutations.
 
     Each row is a permutation of range(t) avoiding the symbols already
-    placed in each column; counts are summed over the recursion tree.
-    The library counts cell by cell, so the search shapes differ.
+    placed in each column.  The count below a partial square depends only
+    on which symbols each column has used, so it is memoised on those
+    column bitmasks.  The library counts reduced squares cell by cell, so
+    the search shapes differ.
     """
-    cols = [set() for _ in range(t)]
+    perms = list(itertools.permutations(range(t)))
+    full = (1 << t) - 1
 
-    def rec(row: int) -> int:
-        if row == t:
+    @functools.lru_cache(maxsize=None)
+    def rec(used: tuple) -> int:
+        if used[0] == full:
             return 1
-        total = 0
-        for perm in itertools.permutations(range(t)):
-            if any(perm[j] in cols[j] for j in range(t)):
-                continue
-            for j in range(t):
-                cols[j].add(perm[j])
-            total += rec(row + 1)
-            for j in range(t):
-                cols[j].remove(perm[j])
-        return total
+        return sum(
+            rec(tuple(u | 1 << s for u, s in zip(used, perm)))
+            for perm in perms
+            if not any(u >> s & 1 for u, s in zip(used, perm))
+        )
 
-    return rec(0)
+    return rec((0,) * t)
+
+
+def oracle_latin_squares(t: int) -> list:
+    """Every order-t Latin square as a tuple of rows, built row by row
+    from whole permutations that repeat no symbol in any column."""
+    squares = []
+
+    def rec(rows: list) -> None:
+        if len(rows) == t:
+            squares.append(tuple(rows))
+            return
+        for perm in itertools.permutations(range(t)):
+            if all(perm[j] != row[j] for row in rows for j in range(t)):
+                rec(rows + [perm])
+
+    rec([])
+    return squares
+
+
+def oracle_rook_cycles(n: int) -> list:
+    """One (rows, cols) encoding per distinct rook cycle on the n x n grid.
+
+    An encoding is a pair of permutations of range(n) whose walk visits
+    (rows[t], cols[t]) and then (rows[t + 1], cols[t]), cyclically, so it
+    alternates column and row steps.  Encodings are deduplicated by the
+    set of cells the walk visits, which determines the cycle.
+    """
+    seen = set()
+    out = []
+    for rows in itertools.permutations(range(n)):
+        for cols in itertools.permutations(range(n)):
+            cells = frozenset(
+                cell
+                for t in range(n)
+                for cell in ((rows[t], cols[t]), (rows[(t + 1) % n], cols[t]))
+            )
+            if cells not in seen:
+                seen.add(cells)
+                out.append((rows, cols))
+    return out
+
+
+def oracle_factorial_bound(n: int) -> Fraction:
+    """n!/n^n: the least permanent of an order-n doubly stochastic matrix
+    (van der Waerden's conjecture, proved by Egorychev and Falikman)."""
+    return Fraction(math.factorial(n), n**n)
+
+
+def oracle_bregman_holds(value, row_sums) -> bool:
+    """Exactly decide value <= prod over the row sums r of (r!)^(1/r).
+
+    Brègman's theorem bounds the permanent of a 0/1 matrix with these
+    row sums this way.  Both sides are raised to the lcm L of the nonzero
+    row sums, turning the comparison into value^L <= prod (r!)^(L/r)
+    over plain integers, with no rounding.
+    """
+    if value < 0:
+        raise ValueError("value must be nonnegative")
+    nonzero = [r for r in row_sums if r]
+    if not nonzero:
+        return value <= 1
+    L = math.lcm(*nonzero)
+    frac = Fraction(value)
+    rhs = 1
+    for r in nonzero:
+        rhs *= math.factorial(r) ** (L // r)
+    return frac.numerator**L <= rhs * frac.denominator**L
 
 
 def oracle_permanent(M) -> Fraction:

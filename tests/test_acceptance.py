@@ -13,13 +13,16 @@ import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
-from oracles import oracle_count_latin, oracle_groups, oracle_permanent
-from stocharray.bounds import (
-    factorial_lower_bound,
-    permanent,
-    rowsum_bound_holds,
-    support_size_bound,
+from fixtures import complete_bipartite, golden_array
+from oracles import (
+    oracle_bregman_holds,
+    oracle_count_latin,
+    oracle_factorial_bound,
+    oracle_groups,
+    oracle_permanent,
+    oracle_rook_cycles,
 )
+from stocharray.bounds import permanent, support_size_bound
 from stocharray.certify import (
     build_support_graph,
     enumerate_vertices,
@@ -27,20 +30,11 @@ from stocharray.certify import (
     is_vertex_rank,
 )
 from stocharray.cli import main as cli_main
-from stocharray.core import (
-    Array3,
-    PolytopeSpec,
-    is_member,
-    known_omega_vertex_order3,
-    known_sigma_vertex_order2,
-)
+from stocharray.core import Array3, PolytopeSpec, is_member
 from stocharray.designs import (
-    BipartiteGraph,
-    count_h_cycles,
     count_latin,
     double_latin_from,
     is_hamiltonian,
-    iter_h_cycles,
     random_latin,
     two_factor_containing_path,
 )
@@ -81,7 +75,7 @@ def criterion(num, budget_seconds, label):
 @criterion(1, 1.0, "shipped 3x3x3 vertex certified both ways; all-half cube flips")
 def test_criterion_01():
     spec = PolytopeSpec("omega", 3, 2)
-    A = known_omega_vertex_order3()
+    A = golden_array("omega-3x3x3.json")
     assert half_integral_certificate(A, spec).is_vertex
     assert is_vertex_rank(A, spec).is_vertex
 
@@ -114,6 +108,7 @@ def test_criterion_02():
 
 @criterion(3, 60.0, "order-10 construction succeeds for 100 consecutive seeds")
 def test_criterion_03():
+    spec = PolytopeSpec("omega", 10, 2)
     lines = oracle_groups("omega", 10, 2)
     outputs = set()
     for seed in range(100):
@@ -121,7 +116,7 @@ def test_criterion_03():
         assert cert.is_vertex and cert.method == "rank"
         for cells in lines:
             assert sorted(A[c] for c in cells) == [0] * 8 + [HALF, HALF]
-        graph = build_support_graph(A, "line")
+        graph = build_support_graph(A, spec)
         assert graph.is_connected and not graph.has_bipartite_component
         outputs.add(A)
     assert len(outputs) == 100
@@ -153,7 +148,7 @@ def regular_instance(n, seed):
     rng.shuffle(sigma)
     tau = [sigma[(i + 1) % n] for i in range(n)]
     gone = {(i, sigma[i]) for i in range(n)} | {(i, tau[i]) for i in range(n)}
-    return BipartiteGraph.complete(n).without_edges(gone), rng
+    return complete_bipartite(n).without_edges(gone), rng
 
 
 def random_path(G, rng):
@@ -194,7 +189,7 @@ def test_criterion_05():
 
 @criterion(6, 10.0, "hyperplane-family construction certified at n in {2,4,6}")
 def test_criterion_06():
-    golden = known_sigma_vertex_order2()
+    golden = golden_array("sigma-2x2x2.json")
     swapped = Array3.from_cells(
         2,
         2,
@@ -215,8 +210,7 @@ def test_criterion_06():
 def test_criterion_07():
     expected_cycles = {2: 1, 3: 6, 4: 72}
     for n, count in expected_cycles.items():
-        assert count_h_cycles(n) == count
-        assert len(list(iter_h_cycles(n))) == count
+        assert len(oracle_rook_cycles(n)) == count
     expected_latin = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280}
     for t, count in expected_latin.items():
         assert count_latin(t) == count
@@ -230,7 +224,7 @@ def test_criterion_08():
     for _ in range(500):
         n = rng.randrange(1, 9)
         M = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
-        assert rowsum_bound_holds(permanent(M), [sum(row) for row in M])
+        assert oracle_bregman_holds(permanent(M), [sum(row) for row in M])
     for _ in range(200):
         n = rng.randrange(1, 8)
         M = [[Fraction(0)] * n for _ in range(n)]
@@ -238,7 +232,7 @@ def test_criterion_08():
             perm = rng.sample(range(n), n)
             for i in range(n):
                 M[i][perm[i]] += Fraction(1, 4)
-        assert permanent(M) >= factorial_lower_bound(n)
+        assert permanent(M) >= oracle_factorial_bound(n)
     naive_checked = 0
     for _ in range(60):
         n = rng.randrange(1, 6)

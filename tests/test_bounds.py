@@ -9,22 +9,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_permanent
+from fixtures import complete_bipartite
+from oracles import oracle_bregman_holds, oracle_factorial_bound, oracle_permanent
 from stocharray.bounds import (
     MAX_REPORT_ORDER,
     construction_count_report,
-    factorial_lower_bound,
     latin_count_log_asymptotic,
     log_of_int,
     permanent,
-    rowsum_bound_holds,
-    rowsum_upper_bound,
     support_size_bound,
     two_factor_log_lower_bound,
 )
 from stocharray.certify import rank_of_constraints
 from stocharray.core import PolytopeSpec
-from stocharray.designs import BipartiteGraph, count_latin, random_latin
+from stocharray.designs import count_latin, random_latin
 
 
 def test_permanent_known_values():
@@ -94,35 +92,25 @@ def random_doubly_stochastic(n, rng, terms=4):
 
 
 def test_factorial_lower_bound_values_and_validity():
-    assert factorial_lower_bound(3) == Fraction(2, 9)
-    assert factorial_lower_bound(1) == 1
-    with pytest.raises(ValueError):
-        factorial_lower_bound(0)
+    assert oracle_factorial_bound(3) == Fraction(2, 9)
+    assert oracle_factorial_bound(1) == 1
     rng = random.Random(12)
     for _ in range(25):
         n = rng.randrange(1, 7)
         M = random_doubly_stochastic(n, rng)
-        assert permanent(M) >= factorial_lower_bound(n)
-
-
-def test_rowsum_upper_bound_values():
-    assert abs(rowsum_upper_bound([3, 3, 3]) - 6) < 1e-40
-    assert rowsum_upper_bound([1, 1]) == 1
-    assert rowsum_upper_bound([0, 0]) == 1
-    with pytest.raises(ValueError):
-        rowsum_upper_bound([2, -1])
+        assert permanent(M) >= oracle_factorial_bound(n)
 
 
 def test_rowsum_bound_exact_comparator():
-    assert rowsum_bound_holds(6, [3, 3, 3])
-    assert not rowsum_bound_holds(Fraction(601, 100), [3, 3, 3])
-    assert rowsum_bound_holds(1, [0, 0])
-    assert not rowsum_bound_holds(2, [0])
-    assert rowsum_bound_holds(Fraction(599, 100), [3, 3, 3])
+    assert oracle_bregman_holds(6, [3, 3, 3])
+    assert not oracle_bregman_holds(Fraction(601, 100), [3, 3, 3])
+    assert oracle_bregman_holds(1, [0, 0])
+    assert not oracle_bregman_holds(2, [0])
+    assert oracle_bregman_holds(Fraction(599, 100), [3, 3, 3])
     with pytest.raises(ValueError):
-        rowsum_bound_holds(-1, [2])
+        oracle_bregman_holds(-1, [2])
     # the bound is tight on the all-ones matrix, so the comparison is exact
-    assert rowsum_bound_holds(permanent([[1] * 3 for _ in range(3)]), [3, 3, 3])
+    assert oracle_bregman_holds(permanent([[1] * 3 for _ in range(3)]), [3, 3, 3])
 
 
 def test_rowsum_bound_on_random_binary_matrices():
@@ -131,7 +119,7 @@ def test_rowsum_bound_on_random_binary_matrices():
         n = rng.randrange(1, 7)
         M = [[rng.randrange(2) for _ in range(n)] for _ in range(n)]
         sums = [sum(row) for row in M]
-        assert rowsum_bound_holds(permanent(M), sums)
+        assert oracle_bregman_holds(permanent(M), sums)
 
 
 def test_latin_count_log_asymptotic():
@@ -160,7 +148,7 @@ def test_two_factor_log_lower_bound():
     assert two_factor_log_lower_bound(2, 1) == pytest.approx(0.5 * math.log(2) - 2)
     assert two_factor_log_lower_bound(3, 5) < two_factor_log_lower_bound(4, 5)
     # complete bipartite K_{3,3} has exactly 6 two-factors; the bound respects it
-    assert brute_two_factor_count(BipartiteGraph.complete(3)) == 6
+    assert brute_two_factor_count(complete_bipartite(3)) == 6
     assert math.log(6) >= two_factor_log_lower_bound(3, 3)
     with pytest.raises(ValueError):
         two_factor_log_lower_bound(1, 4)
@@ -280,5 +268,5 @@ def test_permanent_sandwich_on_regular_binary_matrices():
             assert all(sum(row) == r for row in M)
             p = permanent(M)
             # normalized matrix M/r is doubly stochastic: p / r^t >= t!/t^t
-            assert Fraction(p, r**t) >= factorial_lower_bound(t)
-            assert rowsum_bound_holds(p, [r] * t)
+            assert Fraction(p, r**t) >= oracle_factorial_bound(t)
+            assert oracle_bregman_holds(p, [r] * t)

@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import oracle_vertices
+from fixtures import golden_array, latin_to_array, random_latin_discordant, tuple_to_array
+from oracles import oracle_latin_squares, oracle_vertices
 from stocharray import certify
 from stocharray.certify import (
     CertificateError,
@@ -15,25 +16,18 @@ from stocharray.certify import (
     enumerate_vertices,
     half_integral_certificate,
     is_vertex_rank,
-    polytope_dimension,
     rank_of_constraints,
     support_columns,
 )
-from stocharray.core import (
-    Array3,
-    PolytopeSpec,
-    is_member,
-    known_omega_vertex_order3,
-    known_sigma_vertex_order2,
-    latin_to_array,
-    uniform_array,
-)
-from stocharray.designs import random_latin, random_latin_discordant
+from stocharray.core import Array3, PolytopeSpec, is_member, uniform_array
+from stocharray.designs import LatinSquare, random_latin
 from stocharray.linalg import Elimination
 from stocharray.omega_build import construct_vertex
-from stocharray.sigma_build import construct_sigma_vertex, tuple_to_array
+from stocharray.sigma_build import construct_sigma_vertex
 
 HALF = Fraction(1, 2)
+OMEGA_VERTEX = golden_array("omega-3x3x3.json")
+SIGMA_VERTEX = golden_array("sigma-2x2x2.json")
 
 
 def assert_valid_witness(cert, A, spec):
@@ -58,8 +52,8 @@ def permutation_array(perm):
 
 
 def test_known_omega_vertex_graph_structure():
-    A = known_omega_vertex_order3()
-    G = build_support_graph(A, "line")
+    A = OMEGA_VERTEX
+    G = build_support_graph(A, PolytopeSpec("omega", 3, 2))
     assert len(G.cells) == 16  # the single 1-cell is excluded
     assert len(G.edges) == 24  # 27 lines, 3 exhausted by the 1-cell
     assert G.is_connected
@@ -74,8 +68,8 @@ def test_known_omega_vertex_graph_structure():
 
 
 def test_known_sigma_vertex_graph_is_k4():
-    A = known_sigma_vertex_order2()
-    G = build_support_graph(A, "hyperplane")
+    A = SIGMA_VERTEX
+    G = build_support_graph(A, PolytopeSpec("sigma", 2, 2))
     assert len(G.cells) == 4
     assert len(G.edges) == 6
     assert G.is_connected and not G.has_bipartite_component
@@ -84,7 +78,7 @@ def test_known_sigma_vertex_graph_is_k4():
 def test_all_half_cube_is_bipartite_non_vertex():
     spec = PolytopeSpec("omega", 2, 2)
     A = all_half_array(2, 2)
-    G = build_support_graph(A, "line")
+    G = build_support_graph(A, spec)
     assert len(G.cells) == 8 and len(G.edges) == 12
     assert G.is_connected and G.has_bipartite_component
     parts = G.components[0].parts
@@ -105,19 +99,17 @@ def test_all_half_square_is_non_vertex_both_families():
 def test_graph_rejects_non_half_integral_and_non_member():
     spec = PolytopeSpec("omega", 3, 1)
     with pytest.raises(ValueError):
-        build_support_graph(uniform_array(spec), "line")
-    zeros = Array3.zeros(2, 1)
+        build_support_graph(uniform_array(spec), spec)
+    zeros = Array3(2, 1, [0] * 4)
     with pytest.raises(ValueError):
-        build_support_graph(zeros, "line")
-    with pytest.raises(ValueError):
-        build_support_graph(all_half_array(2, 1), "diagonal")
+        build_support_graph(zeros, PolytopeSpec("omega", 2, 1))
     with pytest.raises(ValueError):
         half_integral_certificate(all_half_array(2, 1), PolytopeSpec("omega", 3, 1))
 
 
 def test_default_family_helper():
     """The graph certificate takes its family from the spec, with no default."""
-    A = known_omega_vertex_order3()
+    A = OMEGA_VERTEX
     cert = half_integral_certificate(A, PolytopeSpec("omega", 3, 2))
     assert cert.is_vertex and cert.method == "graph"
     with pytest.raises(ValueError):  # hyperplanes of this array sum to 3
@@ -138,10 +130,8 @@ def test_permutation_matrices_are_vertices_both_methods():
 def test_latin_arrays_are_vertices():
     spec3 = PolytopeSpec("omega", 3, 2)
     count = 0
-    from stocharray.designs import iter_latin_squares
-
-    for L in iter_latin_squares(3):
-        assert is_vertex_rank(latin_to_array(L), spec3).is_vertex
+    for grid in oracle_latin_squares(3):
+        assert is_vertex_rank(latin_to_array(LatinSquare(grid)), spec3).is_vertex
         count += 1
     assert count == 12
     for t, seed in [(4, 0), (4, 7), (5, 1)]:
@@ -163,18 +153,18 @@ def test_latin_mixtures_are_rejected_with_witnesses():
 
 
 def test_rank_criterion_on_known_vertices():
-    A = known_omega_vertex_order3()
+    A = OMEGA_VERTEX
     assert is_vertex_rank(A, PolytopeSpec("omega", 3, 2)).is_vertex
-    B = known_sigma_vertex_order2()
+    B = SIGMA_VERTEX
     assert is_vertex_rank(B, PolytopeSpec("sigma", 2, 2)).is_vertex
 
 
 def test_rank_rejects_non_member_and_shape_mismatch():
     spec = PolytopeSpec("omega", 2, 1)
     with pytest.raises(ValueError):
-        is_vertex_rank(Array3.zeros(2, 1), spec)
+        is_vertex_rank(Array3(2, 1, [0] * 4), spec)
     with pytest.raises(ValueError):
-        is_vertex_rank(Array3.zeros(3, 1), spec)
+        is_vertex_rank(Array3(3, 1, [0] * 9), spec)
 
 
 def test_segment_family_vertex_iff_integral():
@@ -202,7 +192,7 @@ def test_segment_family_vertex_iff_integral():
 
 
 def test_support_columns_shape():
-    A = known_omega_vertex_order3()
+    A = OMEGA_VERTEX
     spec = PolytopeSpec("omega", 3, 2)
     columns, support = support_columns(A, spec)
     assert [A.index(c) for c in A.support()] == support
@@ -218,12 +208,17 @@ def test_support_columns_shape():
 
 
 def test_rank_and_dimension_values():
+    """The dimension of a polytope is its cell count minus the constraint rank."""
+
+    def dimension(spec):
+        return spec.total_cells - rank_of_constraints(spec)
+
     assert rank_of_constraints(PolytopeSpec("omega", 3, 2)) == 19
-    assert polytope_dimension(PolytopeSpec("omega", 3, 2)) == 8
-    assert polytope_dimension(PolytopeSpec("omega", 3, 1)) == 4
-    assert polytope_dimension(PolytopeSpec("sigma", 2, 2)) == 4
+    assert dimension(PolytopeSpec("omega", 3, 2)) == 8
+    assert dimension(PolytopeSpec("omega", 3, 1)) == 4
+    assert dimension(PolytopeSpec("sigma", 2, 2)) == 4
     # at d = 1 the two families coincide, as do their dimensions
-    assert polytope_dimension(PolytopeSpec("sigma", 3, 1)) == 4
+    assert dimension(PolytopeSpec("sigma", 3, 1)) == 4
 
 
 # ─── exhaustive enumeration ──────────────────────────────────────────────────
@@ -261,7 +256,7 @@ def test_enumerate_sigma_cube():
     verts = enumerate_vertices(spec)
     assert len(verts) == 6
     vert_set = set(verts)
-    assert known_sigma_vertex_order2() in vert_set
+    assert SIGMA_VERTEX in vert_set
     integral = 0
     for pair in itertools.product(itertools.permutations(range(2)), repeat=2):
         A = tuple_to_array(pair)
@@ -359,8 +354,8 @@ def test_witness_outside_or_off_centre_is_caught(monkeypatch):
 
 def test_builders_check_the_graph_shape(monkeypatch):
     # an all-halves cube of order 2 has one bipartite component
-    bipartite = build_support_graph(all_half_array(2, 2), "line")
-    monkeypatch.setattr(certify, "build_support_graph", lambda A, mode: bipartite)
+    bipartite = build_support_graph(all_half_array(2, 2), PolytopeSpec("omega", 2, 2))
+    monkeypatch.setattr(certify, "build_support_graph", lambda A, spec: bipartite)
     with pytest.raises(CertificateError, match="one odd component"):
         construct_vertex(10, 1)
     with pytest.raises(CertificateError, match="one odd component"):
@@ -381,11 +376,11 @@ def test_graph_is_built_once_per_construction(monkeypatch):
     calls = []
     real = certify.build_support_graph
 
-    def counting(A, mode="line"):
-        calls.append(mode)
-        return real(A, mode)
+    def counting(A, spec):
+        calls.append(spec)
+        return real(A, spec)
 
     monkeypatch.setattr(certify, "build_support_graph", counting)
     construct_vertex(10, 1)
     construct_sigma_vertex(6, 1)
-    assert calls == ["line", "hyperplane"]
+    assert calls == [PolytopeSpec("omega", 10, 2), PolytopeSpec("sigma", 6, 2)]

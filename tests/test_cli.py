@@ -5,14 +5,16 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from fixtures import latin_to_array
 from stocharray import __version__, certify
 from stocharray.bounds import MAX_REPORT_ORDER
 from stocharray.cli import main
-from stocharray.core import HALF, PolytopeSpec, latin_to_array, to_json_dict, uniform_array
+from stocharray.core import HALF, PolytopeSpec, to_json_dict, uniform_array
 from stocharray.designs import random_latin
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -26,10 +28,12 @@ REPORT_GOLDEN = GOLDENS / "bounds-report-n10.json"
 PERMANENT_MATRIX = GOLDENS / "permanent-order8-matrix.json"
 PERMANENT_GOLDEN = GOLDENS / "permanent-order8.json"
 ENUMERATE_GOLDEN = GOLDENS / "enumerate-omega-n4-d1.json"
+LATIN_GOLDEN = GOLDENS / "designs-latin-order9-seed5.json"
+SIGMA_CONSTRUCT_GOLDEN = GOLDENS / "sigma-n8-seed2.json"
 # committed command outputs and inputs that are not arrays
 NON_ARRAY_GOLDENS = (
     SAMPLE_GOLDEN, SIGMA_SAMPLE_GOLDEN, WITNESS_GOLDEN, REPORT_GOLDEN, PERMANENT_MATRIX,
-    PERMANENT_GOLDEN, ENUMERATE_GOLDEN,
+    PERMANENT_GOLDEN, ENUMERATE_GOLDEN, LATIN_GOLDEN,
 )
 ENUMERATE_ARGV = ("enumerate", "--kind", "omega", "--n", "4", "--d", "1")
 SAMPLE_ARGV = ("sample", "--kind", "omega", "--n", "4", "--d", "2", "--trials", "5", "--seed", "7")
@@ -78,6 +82,37 @@ def test_unknown_command(capsys):
     code, _, err = run(capsys, "frobnicate")
     assert code == 4
     assert "unknown command" in err
+
+
+# `site` may already have loaded third-party modules, so only what the
+# imports below add is checked
+IMPORT_EVERY_MODULE = """
+import importlib, json, pkgutil, sys
+before = set(sys.modules)
+import stocharray
+sys.argv = ["stocharray", "--version"]
+imported = []
+for module in pkgutil.iter_modules(stocharray.__path__, "stocharray."):
+    try:
+        importlib.import_module(module.name)
+    except SystemExit as exc:  # importing __main__ runs the command line
+        assert exc.code == 0, exc.code
+    imported.append(module.name)
+added = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps([imported, sorted(added)]))
+"""
+
+
+def test_package_imports_only_the_standard_library():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", IMPORT_EVERY_MODULE],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    imported, top_level = json.loads(proc.stdout.splitlines()[-1])
+    assert {"stocharray.cli", "stocharray.__main__"} <= set(imported)
+    assert set(top_level) - set(sys.stdlib_module_names) == {"stocharray"}
 
 
 # ─── verify ──────────────────────────────────────────────────────────────────
@@ -341,6 +376,16 @@ def test_sample_lp_size_cap(capsys):
     assert "capped at 1000000 LP entries" in err and "1119744" in err
 
 
+def test_sample_trial_cap(capsys):
+    start = time.perf_counter()
+    code, out, err = run(
+        capsys, "sample", "--kind", "omega", "--n", "2", "--d", "1", "--trials", "100000000"
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert "capped at 10000 trials; got 100000000" in err
+
+
 def test_sample_out_file_matches_stdout(capsys, tmp_path):
     out = tmp_path / "report.json"
     code, stdout, _ = run(
@@ -403,7 +448,7 @@ def test_verbose_goes_to_stderr_only(capsys):
 
 def test_every_golden_fixture_reverifies(capsys):
     fixtures = sorted(p for p in GOLDENS.glob("*.json") if p not in NON_ARRAY_GOLDENS)
-    assert len(fixtures) == 3
+    assert len(fixtures) == 4
     for path in fixtures:
         payload = run_json(capsys, "verify", str(path))
         assert payload["member"] is True
@@ -413,6 +458,18 @@ def test_every_golden_fixture_reverifies(capsys):
 def test_construct_prints_the_committed_golden_bytes(capsys):
     _, out, _ = run(capsys, "construct", "omega", "--n", "10", "--seed", "1")
     assert out == (GOLDENS / "omega-n10-seed1.json").read_text(encoding="utf-8")
+
+
+def test_construct_sigma_prints_the_committed_golden_bytes(capsys):
+    """Pins the rook cycle and the symbol filling drawn for one seed."""
+    _, out, _ = run(capsys, "construct", "sigma", "--n", "8", "--seed", "2")
+    assert out == SIGMA_CONSTRUCT_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_designs_latin_prints_the_committed_golden_bytes(capsys):
+    """Pins the order in which the seeded Latin fill tries symbols."""
+    _, out, _ = run(capsys, "designs", "latin", "--order", "9", "--seed", "5")
+    assert out == LATIN_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_sample_prints_the_committed_golden_bytes(capsys):
@@ -454,10 +511,11 @@ def test_enumerate_prints_the_committed_golden_bytes(capsys):
 
 def test_golden_bytes_hold_under_optimize_flag():
     """With asserts stripped (python -O) the checks still run and the bytes match:
-    the builder's certificates for construct, the rank re-check for enumerate,
+    the builders' certificates for construct, the rank re-check for enumerate,
     the drop-set rank check and the optimum checks for sample."""
     for argv, golden in (
         (("construct", "omega", "--n", "10", "--seed", "1"), GOLDENS / "omega-n10-seed1.json"),
+        (("construct", "sigma", "--n", "8", "--seed", "2"), SIGMA_CONSTRUCT_GOLDEN),
         (ENUMERATE_ARGV, ENUMERATE_GOLDEN),
         (SAMPLE_ARGV, SAMPLE_GOLDEN),
         (SIGMA_SAMPLE_ARGV, SIGMA_SAMPLE_GOLDEN),

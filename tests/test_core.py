@@ -8,13 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import oracle_groups
-from stocharray.certify import polytope_dimension
+from fixtures import golden_array, latin_to_array
+from oracles import oracle_groups, oracle_latin_squares
+from stocharray.certify import rank_of_constraints
 from stocharray.core import (
     HALF,
     Array3,
     PolytopeSpec,
-    array_to_latin,
     cell_groups,
     flat_index,
     fraction_from_json,
@@ -22,13 +22,13 @@ from stocharray.core import (
     from_json_dict,
     group_rows,
     is_member,
-    known_omega_vertex_order3,
-    known_sigma_vertex_order2,
-    latin_to_array,
     to_json_dict,
     uniform_array,
 )
-from stocharray.designs import LatinSquare, iter_latin_squares, random_latin
+from stocharray.designs import LatinSquare, random_latin
+
+OMEGA_VERTEX = golden_array("omega-3x3x3.json")
+SIGMA_VERTEX = golden_array("sigma-2x2x2.json")
 
 
 def test_spec_validation():
@@ -63,7 +63,7 @@ def test_array_builders_roundtrip():
     assert A.support() == [(0, 1, 1), (1, 0, 0)]
     B = Array3.from_nested(A.nested())
     assert A == B and hash(A) == hash(B)
-    assert Array3.zeros(2, 2).support() == []
+    assert Array3(2, 2, [0] * 8).support() == []
     with pytest.raises(ValueError):
         Array3.from_nested([[1, 0], [0]])
     with pytest.raises(ValueError):
@@ -131,8 +131,8 @@ def test_is_member():
     sigma = PolytopeSpec("sigma", 3, 2)
     assert is_member(uniform_array(omega), omega)
     assert is_member(uniform_array(sigma), sigma)
-    assert is_member(known_omega_vertex_order3(), omega)
-    assert is_member(known_sigma_vertex_order2(), PolytopeSpec("sigma", 2, 2))
+    assert is_member(OMEGA_VERTEX, omega)
+    assert is_member(SIGMA_VERTEX, PolytopeSpec("sigma", 2, 2))
     with pytest.raises(ValueError):
         is_member(uniform_array(omega), sigma.__class__("omega", 4, 2))
 
@@ -179,7 +179,7 @@ def near_members(draw):
         return Array3.from_cells(n, d, {(i,) + tuple(p[i] for p in ps): 1 for i in range(n)})
 
     weights = [Fraction(draw(st.integers(1, 4))) for _ in range(draw(st.integers(1, 3)))]
-    A = Array3.zeros(n, d)
+    A = Array3(n, d, [0] * n ** (d + 1))
     for w in weights:
         A = A + zero_one().scale(w / sum(weights))
     t = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
@@ -217,7 +217,8 @@ def test_cell_groups_index_matches_the_groups():
 def test_affine_dimension_closed_form():
     """The omega polytope has affine dimension (n-1)^(d+1)."""
     for n, d in ((3, 2), (2, 1), (3, 4), (4, 5)):
-        assert polytope_dimension(PolytopeSpec("omega", n, d)) == (n - 1) ** (d + 1)
+        spec = PolytopeSpec("omega", n, d)
+        assert spec.total_cells - rank_of_constraints(spec) == (n - 1) ** (d + 1)
 
 
 def test_uniform_array_values():
@@ -225,28 +226,26 @@ def test_uniform_array_values():
     assert set(uniform_array(PolytopeSpec("sigma", 3, 2)).entries) == {Fraction(1, 9)}
 
 
+def latin_cells(L):
+    return [(i, j, L.grid[i][j]) for i in range(L.order) for j in range(L.order)]
+
+
 def test_latin_array_roundtrip_order3():
+    """Every Latin square is a 0/1 member whose support reads the square back."""
     omega = PolytopeSpec("omega", 3, 2)
-    squares = list(iter_latin_squares(3))
+    squares = [LatinSquare(grid) for grid in oracle_latin_squares(3)]
     assert len(squares) == 12
     for L in squares:
         A = latin_to_array(L)
         assert is_member(A, omega)
         assert set(A.entries) <= {Fraction(0), Fraction(1)}
-        assert array_to_latin(A) == L
+        assert A.support() == latin_cells(L)
 
 
 def test_latin_array_roundtrip_sampled_order4():
     for seed in range(6):
         L = random_latin(4, seed)
-        assert array_to_latin(latin_to_array(L)) == L
-
-
-def test_array_to_latin_rejects_fractional():
-    with pytest.raises(ValueError):
-        array_to_latin(known_omega_vertex_order3())
-    with pytest.raises(ValueError):
-        array_to_latin(Array3.zeros(2, 1))
+        assert latin_to_array(L).support() == latin_cells(L)
 
 
 def test_fraction_json_forms():
@@ -262,14 +261,14 @@ def test_fraction_json_forms():
 
 def test_json_dict_roundtrip():
     spec = PolytopeSpec("omega", 3, 2)
-    A = known_omega_vertex_order3()
+    A = OMEGA_VERTEX
     doc = to_json_dict(spec, A)
     assert doc["kind"] == "omega" and doc["n"] == 3 and doc["d"] == 2
     spec2, B = from_json_dict(doc)
     assert spec2 == spec and B == A
     sigma = PolytopeSpec("sigma", 2, 2)
-    doc2 = to_json_dict(sigma, known_sigma_vertex_order2())
-    assert from_json_dict(doc2)[1] == known_sigma_vertex_order2()
+    doc2 = to_json_dict(sigma, SIGMA_VERTEX)
+    assert from_json_dict(doc2)[1] == SIGMA_VERTEX
 
 
 def test_json_dict_errors():
@@ -289,14 +288,14 @@ def test_json_dict_errors():
     with pytest.raises(ValueError):
         from_json_dict({"kind": "omega", "n": 3, "d": 1, "entries": [[1, 0], [0, 1]]})
     with pytest.raises(ValueError):
-        to_json_dict(PolytopeSpec("omega", 2, 1), Array3.zeros(3, 1))
+        to_json_dict(PolytopeSpec("omega", 2, 1), Array3(3, 1, [0] * 9))
 
 
 def test_known_vertices_shapes():
-    A = known_omega_vertex_order3()
+    A = OMEGA_VERTEX
     assert len(A.support()) == 17
     assert sorted(A.entries.count(v) for v in (Fraction(1), HALF)) == [1, 16]
-    B = known_sigma_vertex_order2()
+    B = SIGMA_VERTEX
     assert len(B.support()) == 4
     assert set(B[c] for c in B.support()) == {HALF}
 
@@ -309,7 +308,7 @@ def test_random_members_survive_json(tmp_path):
     for _ in range(5):
         weights = [Fraction(rng.randrange(1, 5)) for _ in squares]
         total = sum(weights)
-        mix = Array3.zeros(4, 2)
+        mix = Array3(4, 2, [0] * 64)
         for w, sq in zip(weights, squares):
             mix = mix + sq.scale(w / total)
         assert is_member(mix, omega)

@@ -213,7 +213,7 @@ def test_construct_vertex_produces_certified_vertices():
         assert cert.is_vertex and cert.method == "rank"
         assert is_member(A, spec)
         assert len(A.support()) == 2 * 36
-        graph = build_support_graph(A, "line")
+        graph = build_support_graph(A, spec)
         assert graph.is_connected and not graph.has_bipartite_component
         seen.add(A)
     assert len(seen) >= 2  # different seeds explore different vertices

@@ -1,25 +1,26 @@
 """Seeded random-objective sampling and its exact LP plumbing."""
 
 import itertools
-import math
+import time
 from fractions import Fraction
 
 import pytest
 
+from fixtures import latin_to_array
 from stocharray import sample
-from stocharray.bounds import log_of_int, support_size_bound
-from stocharray.core import PolytopeSpec, flat_index, latin_to_array, uniform_array
+from stocharray.bounds import support_size_bound
+from stocharray.core import PolytopeSpec, flat_index, uniform_array
 from stocharray.designs import random_latin
 from stocharray.sample import (
     CAVEAT,
     MAX_LP_ENTRIES,
+    MAX_TRIALS,
     Objective,
     QUANT,
     gaussian_objective,
     maximize,
     reduced_constraints,
     run_experiment,
-    vertex_count_upper_bound,
 )
 from stocharray.simplex import SimplexResult
 
@@ -62,24 +63,6 @@ def test_support_bound_values():
     assert support_size_bound(PolytopeSpec("sigma", 3, 2)) == 7
 
 
-def test_vertex_count_upper_bound():
-    r = vertex_count_upper_bound(3, 2)
-    assert r["log_binomial"] == log_of_int(math.comb(27, 27))
-    assert r["log_binomial"] == 0.0
-    r4 = vertex_count_upper_bound(4, 2)
-    assert r4["log_binomial"] == pytest.approx(math.log(math.comb(64, 48)))
-    assert r4["log_binomial"] <= r4["log_relaxation"] <= r4["log_power_form"] + 1e-9
-    assert (
-        vertex_count_upper_bound(5, 2)["log_binomial"]
-        > r4["log_binomial"]
-        > vertex_count_upper_bound(3, 2)["log_binomial"]
-    )
-    with pytest.raises(ValueError):
-        vertex_count_upper_bound(1, 2)
-    with pytest.raises(ValueError):
-        vertex_count_upper_bound(3, 0)
-
-
 def test_reduced_constraints_drop_counts():
     cases = [
         (PolytopeSpec("omega", 3, 1), 1),
@@ -117,6 +100,37 @@ def test_run_experiment_lp_size_cap(monkeypatch):
     for n, d in ((7, 2), (4, 3), (5, 3)):
         with pytest.raises(Reached):
             run_experiment(PolytopeSpec("omega", n, d), trials=1)
+
+
+def test_run_experiment_trial_cap(monkeypatch):
+    """More than MAX_TRIALS trials are refused at once, before any objective
+    is built; MAX_TRIALS itself passes the check and reaches the solver."""
+
+    class Reached(Exception):
+        pass
+
+    def reached(spec, objective):
+        raise Reached
+
+    built = []
+    real = sample.gaussian_objective
+
+    def counting(spec, seed):
+        built.append(seed)
+        return real(spec, seed)
+
+    spec = PolytopeSpec("omega", 2, 1)
+    monkeypatch.setattr(sample, "maximize", reached)
+    monkeypatch.setattr(sample, "gaussian_objective", counting)
+    for trials in (MAX_TRIALS + 1, 10**8):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"capped at {MAX_TRIALS} trials; got {trials}"):
+            run_experiment(spec, trials=trials)
+        assert time.perf_counter() - start < 1.0
+    assert built == []
+    with pytest.raises(Reached):
+        run_experiment(spec, trials=MAX_TRIALS)
+    assert built == [0]
 
 
 def test_maximize_assignment_is_permutation():

@@ -5,21 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+from fixtures import golden_array, tuple_to_array
+from oracles import oracle_rook_cycles
 from stocharray.certify import is_vertex_rank
-from stocharray.core import (
-    Array3,
-    PolytopeSpec,
-    is_member,
-    known_sigma_vertex_order2,
-)
-from stocharray.designs import HCycle, iter_h_cycles, random_h_cycle
-from stocharray.sigma_build import (
-    SymbolMatrix,
-    build_symbol_matrix,
-    construct_sigma_vertex,
-    count_symbol_fillings,
-    tuple_to_array,
-)
+from stocharray.core import Array3, PolytopeSpec, is_member
+from stocharray.designs import HCycle, random_h_cycle
+from stocharray.sigma_build import SymbolMatrix, build_symbol_matrix, construct_sigma_vertex
 
 HALF = Fraction(1, 2)
 
@@ -52,12 +43,6 @@ def test_symbol_matrix_to_array_places_halves():
     assert len(A.support()) == 4
 
 
-def test_count_symbol_fillings_frozen_values():
-    assert [count_symbol_fillings(n) for n in (2, 3, 4, 5)] == [1, 3, 30, 630]
-    with pytest.raises(ValueError):
-        count_symbol_fillings(1)
-
-
 def test_fillings_exhaustive_at_order_three():
     """Planting (0,1,0) on a fixed cycle leaves exactly 3 distinct labelings."""
     H = HCycle((0, 1, 2), (0, 1, 2))
@@ -67,7 +52,7 @@ def test_fillings_exhaustive_at_order_three():
         assignment = {cells[0]: 0, cells[1]: 1, cells[2]: 0}
         assignment.update(zip(cells[3:], tail))
         seen.add(frozenset(assignment.items()))
-    assert len(seen) == count_symbol_fillings(3)
+    assert len(seen) == 3
     sampled = {
         frozenset(build_symbol_matrix(H, seed).assignment.items())
         for seed in range(60)
@@ -88,8 +73,8 @@ def test_build_symbol_matrix_plants_triangle():
 def test_distinct_vertices_at_order_three():
     """6 rook cycles times 3 fillings give 18 distinct arrays."""
     arrays = set()
-    for H in iter_h_cycles(3):
-        cells = H.cells()
+    for rows, cols in oracle_rook_cycles(3):
+        cells = HCycle(rows, cols).cells()
         for tail in set(itertools.permutations([1, 2, 2])):
             assignment = {cells[0]: 0, cells[1]: 1, cells[2]: 0}
             assignment.update(zip(cells[3:], tail))
@@ -116,7 +101,7 @@ def test_construct_sigma_vertex_order_two_is_forced():
     The rook cycle through all four cells is unique, but the traversal
     may start anywhere, which can exchange the two layer labels.
     """
-    golden = known_sigma_vertex_order2()
+    golden = golden_array("sigma-2x2x2.json")
     swapped = Array3.from_cells(
         2, 2, {(i, j, 1 - k): v for (i, j, k), v in zip(golden.cells(), golden.entries) if v}
     )
@@ -145,9 +130,3 @@ def test_tuple_to_array():
         assert is_vertex_rank(B, spec2).is_vertex
         arrays.add(B)
     assert len(arrays) == 4
-    with pytest.raises(ValueError):
-        tuple_to_array([])
-    with pytest.raises(ValueError):
-        tuple_to_array([(0, 0, 1)])
-    with pytest.raises(ValueError):
-        tuple_to_array([(0, 1), (0, 2)])
