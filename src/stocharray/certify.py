@@ -90,14 +90,11 @@ class SupportGraph:
         return any(c.is_bipartite for c in self.components)
 
 
-def _require_half_integral_member(A: Array3, spec: PolytopeSpec) -> None:
+def _require_member(A: Array3, spec: PolytopeSpec) -> None:
     if (A.n, A.d) != (spec.n, spec.d):
         raise ValueError("array shape does not match the polytope")
     if not is_member(A, spec):
         raise ValueError("array is not a member of the polytope")
-    for c, i in zip(A.support(), A.support_indices()):
-        if A.entries[i] not in (HALF, ONE):
-            raise ValueError(f"entry at {c} is {A.entries[i]}, not in {{0, 1/2, 1}}")
 
 
 def build_support_graph(A: Array3, spec: PolytopeSpec) -> SupportGraph:
@@ -107,7 +104,7 @@ def build_support_graph(A: Array3, spec: PolytopeSpec) -> SupportGraph:
     value-1 cell or exactly two value-1/2 cells, so the edge set is read
     directly off the groups of ``spec``.
     """
-    _require_half_integral_member(A, spec)
+    _require_member(A, spec)
     groups = cell_groups(spec)
     halves = []
     members: dict = {}  # group id -> its 1/2-cells
@@ -116,6 +113,8 @@ def build_support_graph(A: Array3, spec: PolytopeSpec) -> SupportGraph:
             halves.append(c)
             for g in groups[i]:
                 members.setdefault(g, []).append(c)
+        elif A.entries[i] != ONE:
+            raise ValueError(f"entry at {c} is {A.entries[i]}, not in {{0, 1/2, 1}}")
     halves = tuple(halves)
     edges = set()
     for g in sorted(members):
@@ -269,10 +268,7 @@ def is_vertex_rank(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
     preserved, so only the box constraints limit the step, and half the
     largest feasible step produces the witness pair.
     """
-    if (A.n, A.d) != (spec.n, spec.d):
-        raise ValueError("array shape does not match the polytope")
-    if not is_member(A, spec):
-        raise ValueError("array is not a member of the polytope")
+    _require_member(A, spec)
     columns, support = support_columns(A, spec)
     v = eliminate(columns, stop_at_dependency=True).kernel
     if v is None:
@@ -290,10 +286,16 @@ def is_vertex_rank(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
     return VertexCertificate(False, "rank", witness=(X, Y))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=8)
+def independent_groups(spec: PolytopeSpec) -> tuple:
+    """Ids of the groups whose rows one elimination pass keeps: a row basis
+    of the constraint matrix, earliest first in group-id order."""
+    return eliminate(group_rows(spec)).independent
+
+
 def rank_of_constraints(spec: PolytopeSpec) -> int:
     """Rank of the full constraint matrix (all cells as columns), from its rows."""
-    return eliminate(group_rows(spec)).rank
+    return len(independent_groups(spec))
 
 
 # ─── exhaustive enumeration ──────────────────────────────────────────────────

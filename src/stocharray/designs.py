@@ -14,6 +14,9 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+# the largest order `random_latin` fills; beyond it, backtracking can run for minutes
+MAX_LATIN_ORDER = 31
+
 
 class MatchingError(RuntimeError):
     """No matching / factor with the requested properties exists."""
@@ -67,34 +70,37 @@ def random_latin(t: int, seed: int) -> LatinSquare:
 
     Fills cell by cell in row-major order, backtracking, and tries each
     cell's free symbols in an order shuffled by the seeded generator.
+    Orders above MAX_LATIN_ORDER are refused.
     """
     if t < 1:
         raise ValueError("order must be >= 1")
+    if t > MAX_LATIN_ORDER:
+        raise ValueError(f"random Latin squares are capped at order {MAX_LATIN_ORDER}; got {t}")
     rng = random.Random(seed)
     grid = [[-1] * t for _ in range(t)]
     row_free = [(1 << t) - 1 for _ in range(t)]
     col_free = [(1 << t) - 1 for _ in range(t)]
-
-    def fill(pos: int) -> bool:
-        if pos == t * t:
-            return True
+    untried = []  # per cell up to the current one: its symbols not yet tried
+    pos = 0
+    while pos < t * t:
         i, j = divmod(pos, t)
-        avail = row_free[i] & col_free[j]
-        symbols = [s for s in range(t) if avail >> s & 1]
-        rng.shuffle(symbols)
-        for s in symbols:
-            bit = 1 << s
+        if pos == len(untried):
+            avail = row_free[i] & col_free[j]
+            symbols = [s for s in range(t) if avail >> s & 1]
+            rng.shuffle(symbols)
+            untried.append(iter(symbols))
+        else:  # back from a dead end: free this cell's symbol
+            row_free[i] ^= 1 << grid[i][j]
+            col_free[j] ^= 1 << grid[i][j]
+        s = next(untried[pos], None)
+        if s is None:  # never at pos 0: the search is exhaustive and Latin squares exist
+            untried.pop()
+            pos -= 1
+        else:
             grid[i][j] = s
-            row_free[i] ^= bit
-            col_free[j] ^= bit
-            if fill(pos + 1):
-                return True
-            row_free[i] ^= bit
-            col_free[j] ^= bit
-        return False
-
-    filled = fill(0)
-    assert filled, "backtracking cannot exhaust: Latin squares always exist"
+            row_free[i] ^= 1 << s
+            col_free[j] ^= 1 << s
+            pos += 1
     return LatinSquare(grid)
 
 

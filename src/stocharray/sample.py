@@ -4,13 +4,15 @@ A seeded Gaussian objective (quantized to rationals so the whole
 pipeline stays exact) is maximized over the polytope; the optimizer's
 basic solution is a vertex, which is then certified independently
 through the rank criterion, and through the support-graph criterion as
-well whenever the optimum happens to be half-integral.  Redundant
-constraint rows are dropped before the LP, and the reduced system is
-checked once per polytope to span the same row space as the full one.
+well whenever the optimum happens to be half-integral.  The LP keeps
+only independent constraint rows and starts at a vertex known in closed
+form, the Latin-type array of omega or the diagonal of sigma, so the
+simplex needs no phase 1; that start is built once per polytope.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -18,18 +20,18 @@ from fractions import Fraction
 from functools import lru_cache
 
 from stocharray.bounds import support_size_bound
-from stocharray.certify import is_vertex_rank, half_integral_certificate, rank_of_constraints
+from stocharray.certify import half_integral_certificate, independent_groups, is_vertex_rank
 from stocharray.core import (
     HALF,
     Array3,
     PolytopeSpec,
+    cell_groups,
     fraction_to_json,
-    group_rows,
     is_member,
     uniform_array,
 )
-from stocharray.linalg import eliminate
-from stocharray.simplex import solve_lp
+from stocharray.linalg import SparseBasis
+from stocharray.simplex import Start, solve_lp, start_at
 
 QUANT = 1 << 32
 
@@ -74,50 +76,44 @@ def gaussian_objective(spec: PolytopeSpec, seed: int) -> Objective:
     return Objective(spec, tuple(coeffs), seed)
 
 
-def _dropped_groups(spec: PolytopeSpec) -> frozenset:
-    """Ids (as in `core.cell_groups`) of constraint groups known to be redundant.
+@lru_cache(maxsize=8)
+def lp_start(spec: PolytopeSpec) -> Start:
+    """The polytope's LP, pivoted onto a vertex known in closed form.
 
-    As (axis, other coordinates), the omega lines (0, (0,)) at d=1 and
-    (0, (1, 1)), (1, (1, 0)), (2, (0, 0)) at d=2; for sigma, the
-    hyperplanes where coordinate a = 1..d equals 0.
+    Rows are the independent constraint groups, as many as the rank.  The
+    vertex is 1 where the coordinates sum to 0 mod n (omega: one cell per
+    line) or on the diagonal (sigma: one cell per hyperplane); its support
+    is extended to a basis with the other cells in flat order.
     """
-    n, d = spec.n, spec.d
-    if spec.kind == "sigma":
-        return frozenset(a * n for a in range(1, d + 1))
-    if d == 1:
-        return frozenset({0})
-    if d == 2:
-        return frozenset({n + 1, n * n + n, 2 * n * n})
-    return frozenset()
-
-
-@lru_cache(maxsize=None)
-def reduced_constraints(spec: PolytopeSpec) -> tuple:
-    """Constraint rows with the known-redundant groups removed.
-
-    Rows are 0/1 tuples over flat cell order, in group-id order.  They
-    are verified, once per polytope, to have the same rank as the full
-    system; since they are a subset of it, equal rank means an identical
-    affine span, so no optimum moves and nothing becomes unbounded.
-    """
-    drops = _dropped_groups(spec)
-    kept = [row for g, row in enumerate(group_rows(spec)) if g not in drops]
-    if eliminate(kept).rank != rank_of_constraints(spec):
-        raise RuntimeError("reduced constraint system lost rank; drop set invalid")
-    return tuple(tuple(int(i in row) for i in range(spec.total_cells)) for row in kept)
+    n, cells = spec.n, spec.total_cells
+    kept = independent_groups(spec)
+    row_of = {g: r for r, g in enumerate(kept)}
+    columns = [{row_of[g]: 1 for g in gs if g in row_of} for gs in cell_groups(spec)]
+    coords = itertools.product(range(n), repeat=spec.d + 1)
+    if spec.kind == "omega":
+        vertex = [i for i, c in enumerate(coords) if sum(c) % n == 0]
+    else:
+        vertex = [i for i, c in enumerate(coords) if min(c) == max(c)]
+    found = SparseBasis()
+    basis = []
+    # the vertex's cells come round again in flat order and add nothing
+    for i in itertools.chain(vertex, range(cells)):
+        if len(basis) < len(kept) and found.add(columns[i]):
+            basis.append(i)
+    rows = [[int(r in column) for column in columns] for r in range(len(kept))]
+    return start_at(rows, [1] * len(kept), basis)
 
 
 def maximize(spec: PolytopeSpec, objective: Objective) -> tuple:
     """Exact maximizer of the objective over the polytope: (vertex, value).
 
     The solver's basic solution is validated against every constraint of
-    the full system, dropped rows included, and the reported value is
+    the full system, dependent rows included, and the reported value is
     recomputed from scratch.
     """
     if objective.spec != spec:
         raise ValueError("objective was built for a different polytope")
-    rows = reduced_constraints(spec)
-    res = solve_lp(rows, [1] * len(rows), objective.coefficients)
+    res = solve_lp(lp_start(spec), objective.coefficients)
     if res.status != "optimal":
         raise RuntimeError(f"polytope LP reported {res.status}")
     A = Array3(spec.n, spec.d, res.solution)

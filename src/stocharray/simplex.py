@@ -1,25 +1,20 @@
 """Exact primal simplex over rational arithmetic.
 
-Solves  maximize c.x  subject to  A x = b, x >= 0  with a dense tableau
-of Fractions and a two-phase start, so the solver never rounds.
-
-Phase 1 does not depend on the objective, so its feasible tableau is
-kept in a small cache keyed on the constraint system; later solves of
-the same system start phase 2 from a copy of it.  Artificial variables
-are basis markers only (index n + i for row i): no column is stored for
-them, and those left basic at zero are pivoted out or their rows
-dropped as redundant.  Both phases share one pricing loop: Dantzig's
-rule (largest reduced cost, lowest index on ties), switching to Bland's
-rule after a run of degenerate pivots, so the solver cannot cycle.
-Intended for the modest LP sizes this package needs; no effort is spent
-on sparse representations.
+Solves  maximize c.x  subject to  A x = b, x >= 0  with a dense tableau,
+so the solver never rounds.  There is no phase 1: the caller names a
+feasible basis, `start_at` pivots the tableau onto it once, and every
+`solve_lp` on that system starts from a copy of the result.  Pricing is
+Dantzig's rule (largest reduced cost, lowest index on ties), switching
+to Bland's rule after a run of degenerate pivots, so the solver cannot
+cycle.  Intended for the modest LP sizes this package needs; no effort
+is spent on sparse representations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import NamedTuple, Optional
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -27,8 +22,13 @@ ONE = Fraction(1)
 # consecutive degenerate pivots after which pricing falls back to Bland's
 # rule until the next pivot that moves the objective
 _DEGENERATE_RUN = 50
-_PHASE_ONE_CACHE_SIZE = 8
-_phase_one_cache: dict = {}  # (rows, rhs) as tuples -> (tableau, basis), or None if infeasible
+
+
+class Start(NamedTuple):
+    """A feasible tableau: rows B^-1 [A | b], and the basic column of each row."""
+
+    tableau: tuple
+    basis: tuple
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,7 @@ class SimplexResult:
     pivots: int
 
     def __post_init__(self):
-        if self.status not in ("optimal", "infeasible", "unbounded"):
+        if self.status not in ("optimal", "unbounded"):
             raise ValueError(f"unknown status {self.status!r}")
 
 
@@ -101,71 +101,42 @@ def _optimize(tableau: list, basis: list, n: int) -> tuple:
         pivots += 1
 
 
-def _phase_one(rows, rhs, n: int) -> tuple:
-    """Feasible tableau and basis for rows . x = rhs, or None; plus the pivots made."""
-    m = len(rows)
-    tableau = []
-    for row, b in zip(rows, rhs):
-        coeffs = [Fraction(v) for v in row]
-        b = Fraction(b)
-        if b < 0:
-            coeffs = [-v for v in coeffs]
-            b = -b
-        tableau.append(coeffs + [b])
-    basis = [n + i for i in range(m)]
+def start_at(rows, rhs, basis) -> Start:
+    """The tableau of rows . x = rhs pivoted onto the given basis columns.
 
-    # maximize minus the artificial total; its cost row is the column sums
-    tableau.append([sum(col, ZERO) for col in zip(*tableau)])
-    bounded, pivots = _optimize(tableau, basis, n)
-    if not bounded:
-        raise RuntimeError("phase-1 LP is bounded by construction")
-    if tableau.pop()[-1] != 0:
-        return None, pivots
-
-    # leftover artificials sit at zero: pivot them out, or drop their
-    # rows as redundant when no structural column is available
-    for i in range(m - 1, -1, -1):
-        if basis[i] < n:
-            continue
-        pc = next((j for j in range(n) if tableau[i][j] != 0), None)
-        if pc is None:
-            tableau.pop(i)
-            basis.pop(i)
-        else:
-            _pivot(tableau, basis, i, pc)
-            pivots += 1
-    return (tuple(tuple(r) for r in tableau), tuple(basis)), pivots
+    There must be one basis column per row, those columns must be
+    independent (so the rows are full rank), and the basic solution must
+    be nonnegative; otherwise ValueError.
+    """
+    m, n = len(rows), len(rows[0]) if rows else 0
+    if m == 0 or any(len(r) != n for r in rows) or len(rhs) != m:
+        raise ValueError("need at least one constraint, and consistent LP dimensions")
+    if len(basis) != m or not all(0 <= j < n for j in basis):
+        raise ValueError("the basis must name one column per row")
+    tableau = [list(r) + [b] for r, b in zip(rows, rhs)]
+    basic = [None] * m  # the basic column of each row
+    free = set(range(m))
+    for j in basis:
+        pr = min((i for i in free if tableau[i][j]), default=None)
+        if pr is None:
+            raise ValueError("basis columns are dependent or the rows are not full rank")
+        free.remove(pr)
+        _pivot(tableau, basic, pr, j)
+    if any(row[-1] < 0 for row in tableau):
+        raise ValueError("the basic solution has a negative entry")
+    return Start(tuple(tuple(r) for r in tableau), tuple(basic))
 
 
-def _feasible_start(rows, rhs, n: int) -> tuple:
-    """Phase 1 through the cache: ((tableau, basis) or None, pivots made by this call)."""
-    key = (tuple(tuple(r) for r in rows), tuple(rhs))
-    if key in _phase_one_cache:
-        start, pivots = _phase_one_cache.pop(key), 0
-    else:
-        start, pivots = _phase_one(rows, rhs, n)
-        if len(_phase_one_cache) >= _PHASE_ONE_CACHE_SIZE:
-            del _phase_one_cache[next(iter(_phase_one_cache))]
-    _phase_one_cache[key] = start  # (re)inserted last: the dict keeps LRU order
-    return start, pivots
-
-
-def solve_lp(rows, rhs, objective) -> SimplexResult:
-    """Maximize objective . x subject to rows . x = rhs, x >= 0."""
-    m = len(rows)
-    if m == 0:
-        raise ValueError("need at least one constraint")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows) or len(rhs) != m or len(objective) != n:
+def solve_lp(start: Start, objective) -> SimplexResult:
+    """Maximize objective . x over the system of ``start``, with x >= 0,
+    pivoting from the start's basis."""
+    tableau = [list(r) for r in start.tableau]
+    basis = list(start.basis)
+    n = len(tableau[0]) - 1
+    if len(objective) != n:
         raise ValueError("inconsistent LP dimensions")
 
-    start, pivots = _feasible_start(rows, rhs, n)
-    if start is None:
-        return SimplexResult("infeasible", None, None, pivots)
-    tableau = [list(r) for r in start[0]]
-    basis = list(start[1])
-
-    # phase 2: reduced costs of the objective against the feasible basis
+    # reduced costs of the objective against the start basis
     robj = [Fraction(v) for v in objective] + [ZERO]
     for row, b in zip(tableau, basis):
         f = robj[b]
@@ -174,8 +145,7 @@ def solve_lp(rows, rhs, objective) -> SimplexResult:
                 if v:
                     robj[j] -= f * v
     tableau.append(robj)
-    bounded, more = _optimize(tableau, basis, n)
-    pivots += more
+    bounded, pivots = _optimize(tableau, basis, n)
     if not bounded:
         return SimplexResult("unbounded", None, None, pivots)
 

@@ -15,7 +15,7 @@ from stocharray import __version__, certify
 from stocharray.bounds import MAX_REPORT_ORDER
 from stocharray.cli import main
 from stocharray.core import HALF, PolytopeSpec, to_json_dict, uniform_array
-from stocharray.designs import random_latin
+from stocharray.designs import MAX_LATIN_ORDER, random_latin
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "goldens"
@@ -23,6 +23,8 @@ OMEGA_GOLDEN = str(GOLDENS / "omega-3x3x3.json")
 SIGMA_GOLDEN = str(GOLDENS / "sigma-2x2x2.json")
 SAMPLE_GOLDEN = GOLDENS / "sample-omega-n4-seed7.json"
 SIGMA_SAMPLE_GOLDEN = GOLDENS / "sample-sigma-n4-seed7.json"
+DEEP_SAMPLE_GOLDEN = GOLDENS / "sample-omega-n3-d3-seed11.json"
+FLAT_SAMPLE_GOLDEN = GOLDENS / "sample-sigma-n5-d1-seed3.json"
 WITNESS_GOLDEN = GOLDENS / "verify-omega-n10-latin-midpoint.json"
 REPORT_GOLDEN = GOLDENS / "bounds-report-n10.json"
 PERMANENT_MATRIX = GOLDENS / "permanent-order8-matrix.json"
@@ -32,12 +34,14 @@ LATIN_GOLDEN = GOLDENS / "designs-latin-order9-seed5.json"
 SIGMA_CONSTRUCT_GOLDEN = GOLDENS / "sigma-n8-seed2.json"
 # committed command outputs and inputs that are not arrays
 NON_ARRAY_GOLDENS = (
-    SAMPLE_GOLDEN, SIGMA_SAMPLE_GOLDEN, WITNESS_GOLDEN, REPORT_GOLDEN, PERMANENT_MATRIX,
-    PERMANENT_GOLDEN, ENUMERATE_GOLDEN, LATIN_GOLDEN,
+    SAMPLE_GOLDEN, SIGMA_SAMPLE_GOLDEN, DEEP_SAMPLE_GOLDEN, FLAT_SAMPLE_GOLDEN, WITNESS_GOLDEN,
+    REPORT_GOLDEN, PERMANENT_MATRIX, PERMANENT_GOLDEN, ENUMERATE_GOLDEN, LATIN_GOLDEN,
 )
 ENUMERATE_ARGV = ("enumerate", "--kind", "omega", "--n", "4", "--d", "1")
 SAMPLE_ARGV = ("sample", "--kind", "omega", "--n", "4", "--d", "2", "--trials", "5", "--seed", "7")
 SIGMA_SAMPLE_ARGV = ("sample", "--kind", "sigma", *SAMPLE_ARGV[3:])
+DEEP_SAMPLE_ARGV = ("sample", "--kind", "omega", "--n", "3", "--d", "3", "--trials", "3", "--seed", "11")
+FLAT_SAMPLE_ARGV = ("sample", "--kind", "sigma", "--n", "5", "--d", "1", "--trials", "4", "--seed", "3")
 
 
 def run(capsys, *argv):
@@ -298,6 +302,18 @@ def test_designs_parameter_errors(capsys):
     assert code == 2
 
 
+def test_designs_latin_order_cap(capsys):
+    """Above the cap the fill is refused at once, instead of failing or hanging."""
+    code, out, _ = run(capsys, "designs", "latin", "--order", str(MAX_LATIN_ORDER), "--seed", "1")
+    assert code == 0 and len(json.loads(out)["grid"]) == MAX_LATIN_ORDER
+    for order in (MAX_LATIN_ORDER + 1, 10**6):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "designs", "latin", "--order", str(order))
+        assert code == 2 and out == ""
+        assert f"capped at order {MAX_LATIN_ORDER}" in err
+        assert time.perf_counter() - start < 1.0
+
+
 # ─── bounds ──────────────────────────────────────────────────────────────────
 
 
@@ -360,8 +376,8 @@ def test_sample_assignment_family(capsys):
 
 
 def test_sample_single_cell_omega_d2():
-    """At n=1 the three ids of the d=2 drop set coincide, as the lines they name
-    at n >= 2 do not exist; with or without asserts the run prints the same bytes."""
+    """At n=1 the three groups of d=2 are one row and the polytope is one point;
+    with or without asserts the run prints the same bytes."""
     argv = ("sample", "--kind", "omega", "--n", "1", "--d", "2")
     plain = run_subprocess(*argv)
     optimized = run_subprocess(*argv, optimize=True)
@@ -478,9 +494,20 @@ def test_sample_prints_the_committed_golden_bytes(capsys):
 
 
 def test_sigma_sample_prints_the_committed_golden_bytes(capsys):
-    """Pins the sigma drop set: the hyperplanes where coordinate 1 or 2 is 0."""
+    """Sigma n=4 d=2: 12 constraint groups of rank 10, three fractional optima."""
     _, out, _ = run(capsys, *SIGMA_SAMPLE_ARGV)
     assert out == SIGMA_SAMPLE_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_omega_d3_sample_prints_the_committed_golden_bytes(capsys):
+    """Omega n=3 d=3: 108 constraint groups of rank 65, one fractional optimum."""
+    _, out, _ = run(capsys, *DEEP_SAMPLE_ARGV)
+    assert out == DEEP_SAMPLE_GOLDEN.read_text(encoding="utf-8")
+
+
+def test_sigma_d1_sample_prints_the_committed_golden_bytes(capsys):
+    _, out, _ = run(capsys, *FLAT_SAMPLE_ARGV)
+    assert out == FLAT_SAMPLE_GOLDEN.read_text(encoding="utf-8")
 
 
 def test_verify_prints_the_committed_witness_bytes(capsys, tmp_path):
@@ -512,13 +539,15 @@ def test_enumerate_prints_the_committed_golden_bytes(capsys):
 def test_golden_bytes_hold_under_optimize_flag():
     """With asserts stripped (python -O) the checks still run and the bytes match:
     the builders' certificates for construct, the rank re-check for enumerate,
-    the drop-set rank check and the optimum checks for sample."""
+    the start-basis checks and the optimum checks for sample."""
     for argv, golden in (
         (("construct", "omega", "--n", "10", "--seed", "1"), GOLDENS / "omega-n10-seed1.json"),
         (("construct", "sigma", "--n", "8", "--seed", "2"), SIGMA_CONSTRUCT_GOLDEN),
         (ENUMERATE_ARGV, ENUMERATE_GOLDEN),
         (SAMPLE_ARGV, SAMPLE_GOLDEN),
         (SIGMA_SAMPLE_ARGV, SIGMA_SAMPLE_GOLDEN),
+        (DEEP_SAMPLE_ARGV, DEEP_SAMPLE_GOLDEN),
+        (FLAT_SAMPLE_ARGV, FLAT_SAMPLE_GOLDEN),
     ):
         proc = run_subprocess(*argv, optimize=True)
         assert proc.returncode == 0, proc.stderr

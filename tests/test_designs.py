@@ -5,7 +5,9 @@ import random
 
 import pytest
 
+from stocharray import designs
 from stocharray.designs import (
+    MAX_LATIN_ORDER,
     BipartiteGraph,
     DoubleLatinSquare,
     HCycle,
@@ -66,6 +68,19 @@ def test_random_latin_deterministic_and_valid():
         assert isinstance(a, LatinSquare)
     assert random_latin(1, 0).grid == ((0,),)
     assert random_latin(3, 0) != random_latin(3, 1) or random_latin(3, 2) != random_latin(3, 3)
+
+
+def test_random_latin_at_the_order_cap_runs_deep_in_the_stack():
+    """The fill keeps its own stack, so an order-31 square (961 cells) needs
+    no interpreter frames per cell, even when called 100 frames deep."""
+
+    def nested(depth):
+        return nested(depth - 1) if depth else random_latin(MAX_LATIN_ORDER, 1)
+
+    L = nested(100)
+    assert isinstance(L, LatinSquare) and len(L.grid) == 31
+    with pytest.raises(ValueError, match=f"capped at order {MAX_LATIN_ORDER}; got 32"):
+        random_latin(MAX_LATIN_ORDER + 1, 1)
 
 
 def test_random_latin_discordant_disagrees_everywhere():
@@ -262,6 +277,19 @@ def test_two_factor_containing_path():
         F = two_factor_containing_path(G, path)
         check_two_factor(F, n)
         assert path <= F
+
+
+def test_two_factor_fallback_finds_a_factor_through_the_path(monkeypatch):
+    """With the two-matching route switched off, the degree-constrained
+    search alone returns a valid 2-factor containing the path."""
+    monkeypatch.setattr(designs, "_factor_via_two_matchings", lambda *args: None)
+    for n in range(6, 11):
+        for seed in range(60):
+            G = random_regular_instance(n, seed)
+            path = random_path_in(G, random.Random(seed + 900))
+            F = two_factor_containing_path(G, path)
+            check_two_factor(F, n)
+            assert path <= F <= G.edges
 
 
 def test_two_factor_containing_path_errors():

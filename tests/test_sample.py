@@ -7,8 +7,10 @@ from fractions import Fraction
 import pytest
 
 from fixtures import latin_to_array
+from oracles import oracle_vertices
 from stocharray import sample
 from stocharray.bounds import support_size_bound
+from stocharray.certify import rank_of_constraints
 from stocharray.core import PolytopeSpec, flat_index, uniform_array
 from stocharray.designs import random_latin
 from stocharray.sample import (
@@ -18,8 +20,8 @@ from stocharray.sample import (
     Objective,
     QUANT,
     gaussian_objective,
+    lp_start,
     maximize,
-    reduced_constraints,
     run_experiment,
 )
 from stocharray.simplex import SimplexResult
@@ -64,23 +66,65 @@ def test_support_bound_values():
 
 
 def test_reduced_constraints_drop_counts():
+    """The LP keeps a row basis: omega has rank n^(d+1) - (n-1)^(d+1),
+    sigma (d+1)(n-1) + 1, and every kept row is pivoted by the start."""
     cases = [
         (PolytopeSpec("omega", 3, 1), 1),
-        (PolytopeSpec("omega", 3, 2), 3),
+        (PolytopeSpec("omega", 3, 2), 8),
         (PolytopeSpec("sigma", 3, 2), 2),
-        (PolytopeSpec("omega", 2, 3), 0),
+        (PolytopeSpec("omega", 2, 3), 17),
         (PolytopeSpec("sigma", 4, 1), 1),
-        # n=1: the three ids of the d=2 drop set coincide
-        (PolytopeSpec("omega", 1, 2), 1),
+        # n=1: one cell, and every group is the same row
+        (PolytopeSpec("omega", 1, 2), 2),
     ]
     for spec, expect_dropped in cases:
-        rows = reduced_constraints(spec)
+        tableau, basis = lp_start(spec)
         if spec.kind == "omega":
             total_groups = (spec.d + 1) * spec.n**spec.d
         else:
             total_groups = (spec.d + 1) * spec.n
-        assert len(rows) == total_groups - expect_dropped
-        assert all(len(r) == spec.total_cells for r in rows)
+        assert len(tableau) == total_groups - expect_dropped == rank_of_constraints(spec)
+        assert all(len(r) == spec.total_cells + 1 for r in tableau)
+        # full row rank: each row has its own basic column, a unit column
+        assert len(set(basis)) == len(tableau)
+        for r, j in enumerate(basis):
+            assert [row[j] for row in tableau] == [int(i == r) for i in range(len(tableau))]
+
+
+def closed_form_vertex(spec):
+    """1 where the coordinates sum to 0 mod n (omega) or all agree (sigma)."""
+    cells = itertools.product(range(spec.n), repeat=spec.d + 1)
+    if spec.kind == "omega":
+        return [int(sum(c) % spec.n == 0) for c in cells]
+    return [int(len(set(c)) == 1) for c in cells]
+
+
+def test_lp_start_is_the_closed_form_vertex():
+    for kind in ("omega", "sigma"):
+        for d in (1, 2, 3):
+            for n in (1, 2, 3, 4):
+                spec = PolytopeSpec(kind, n, d)
+                tableau, basis = lp_start(spec)
+                x = [0] * spec.total_cells
+                for row, j in zip(tableau, basis):
+                    x[j] = row[-1]
+                assert x == closed_form_vertex(spec), (kind, n, d)
+                assert len(tableau) == rank_of_constraints(spec), (kind, n, d)
+
+
+def test_maximize_matches_the_best_oracle_vertex():
+    """An independent check: the LP optimum is the best of all vertices,
+    found by brute force over cell subsets."""
+    for kind, n, d in (("omega", 2, 1), ("omega", 3, 1), ("sigma", 3, 1),
+                       ("omega", 2, 2), ("sigma", 2, 2)):
+        spec = PolytopeSpec(kind, n, d)
+        vertices = oracle_vertices(kind, n, d)
+        for seed in range(20):
+            obj = gaussian_objective(spec, seed)
+            best = max(sum(c * v for c, v in zip(obj.coefficients, x)) for x in vertices)
+            A, value = maximize(spec, obj)
+            assert value == best, (kind, n, d, seed)
+            assert tuple(A.entries) in vertices
 
 
 def test_run_experiment_lp_size_cap(monkeypatch):
@@ -173,7 +217,7 @@ def test_maximize_rejects_a_wrong_optimum(monkeypatch):
     ]
     for solution, reported, message in cases:
         result = SimplexResult("optimal", reported, tuple(solution), 0)
-        monkeypatch.setattr(sample, "solve_lp", lambda rows, rhs, c, r=result: r)
+        monkeypatch.setattr(sample, "solve_lp", lambda start, c, r=result: r)
         with pytest.raises(RuntimeError, match=message):
             maximize(spec, obj)
 
