@@ -79,7 +79,7 @@ def support_size_bound(spec: PolytopeSpec) -> int:
     """Largest possible vertex support: the constraint-matrix rank.
 
     Line-stochastic: n^(d+1) - (n-1)^(d+1).  Hyperplane-stochastic:
-    (d+1)(n-1) + 1.  Matches `certify.rank_of_constraints` exactly.
+    (d+1)(n-1) + 1.  Matches `len(certify.independent_groups(spec))` exactly.
     """
     n, d = spec.n, spec.d
     if spec.kind == "omega":

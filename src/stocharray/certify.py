@@ -6,7 +6,8 @@ Three exact routes, all over rational arithmetic:
   structure off the graph whose nodes are the value-1/2 cells,
 * a linear-algebra criterion for arbitrary members, via the rank of the
   constraint matrix restricted to the support,
-* exhaustive enumeration of all vertices for small instances.
+* exhaustive enumeration of all vertices of small instances, by the
+  double description method over exact integer rays.
 
 Both decision routes return a `VertexCertificate`; negative certificates
 carry an exact witness pair (X, Y) of distinct members averaging to the
@@ -17,6 +18,8 @@ before they are returned, raising `CertificateError` on failure.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -26,6 +29,10 @@ from stocharray.core import HALF, Array3, PolytopeSpec, cell_groups, group_rows,
 from stocharray.linalg import SparseBasis, eliminate
 
 ONE = Fraction(1)
+# past these, enumeration runs for many seconds (its setup grows with the cells,
+# its adjacency tests with the rays) or prints JSON nested too deeply (axes)
+MAX_ENUMERATE_CELLS = 64
+MAX_ENUMERATE_WORK = 10**7
 
 
 class CertificateError(RuntimeError):
@@ -293,80 +300,72 @@ def independent_groups(spec: PolytopeSpec) -> tuple:
     return eliminate(group_rows(spec)).independent
 
 
-def rank_of_constraints(spec: PolytopeSpec) -> int:
-    """Rank of the full constraint matrix (all cells as columns), from its rows."""
-    return len(independent_groups(spec))
-
-
 # ─── exhaustive enumeration ──────────────────────────────────────────────────
 
 
-def enumerate_vertices(spec: PolytopeSpec, max_cells: int = 16) -> list:
-    """All vertices of a small instance, by exhaustive support search.
+def enumerate_vertices(spec: PolytopeSpec) -> list:
+    """All vertices of a small instance, by double description (Motzkin et
+    al. 1953; Fukuda and Prodon 1996), each re-checked by the rank criterion.
 
-    Every vertex is the unique solution supported on some linearly
-    independent set of constraint columns, so a depth-first scan over
-    independent column subsets finds each vertex exactly once, at its own
-    support.  Whenever the chosen cells touch every constraint group, the
-    scan's own basis, which holds exactly the chosen columns, solves for
-    the all-ones right-hand side.  Each reported array is re-checked with
-    the rank criterion.  The scan is exponential in the cell count: 16
-    cells take about 0.1 s, 25 take about 15 s, so instances above 16
-    cells are refused.
+    The vertices of {x >= 0, Ax = 1} are the extreme rays (x, t) of the
+    cone {Ax = t 1, x >= 0} scaled to t = 1; boundedness makes t > 0.  The
+    cells whose columns a `SparseBasis` holding the t column finds
+    dependent give a null-space basis, a cone simplicial in those cells.
+    The other cells' x_i >= 0 cut it in flat order, combining a positive
+    and a negative ray only when adjacent.  Rays are primitive int lists
+    with t last; zero sets are bitmasks over the constraints cut so far.
     """
-    if spec.d > 2:
-        raise ValueError("enumeration supports d in {1, 2} only")
     N = spec.total_cells
-    if N > max_cells:
+    if N > MAX_ENUMERATE_CELLS or spec.axes > MAX_ENUMERATE_CELLS:
         raise ValueError(
-            f"instance has {N} cells; enumeration is capped at {max_cells} cells"
+            f"instance has {N} cells and {spec.axes} axes; "
+            f"enumeration is capped at {MAX_ENUMERATE_CELLS} of each"
         )
-    m = spec.group_count
-    groups = cell_groups(spec)
-    columns = [dict.fromkeys(gs, 1) for gs in groups]
-    ones = dict.fromkeys(range(m), 1)
-    # column j as a bitmask over the m groups
-    col_mask = [sum(1 << g for g in gs) for gs in groups]
-    full = (1 << m) - 1
-    # last column index that can still cover each group
-    last_col = [0] * m
-    for j, gs in enumerate(groups):
-        for g in gs:
-            last_col[g] = j
-
-    found = []
-    chosen: list = []
+    columns = [dict.fromkeys(gs, 1) for gs in cell_groups(spec)]
     basis = SparseBasis()
+    basis.add(dict.fromkeys(range(spec.group_count), -1))
+    pivots = [j for j, column in enumerate(columns) if basis.add(column)]
+    free = [j for j in range(N) if j not in pivots]
+    rays, zeros = [], []
+    for j in free:
+        # e_j minus column j over the basis (position 0 is t); scaling by
+        # the lcm of the denominators leaves entries whose gcd is 1
+        coefficients = basis.express(columns[j])
+        scale = math.lcm(*(Fraction(c).denominator for c in coefficients.values()))
+        ray = [0] * (N + 1)
+        ray[j] = scale
+        for t, c in coefficients.items():
+            ray[pivots[t - 1] if t else N] = int(-c * scale)
+        rays.append(ray)
+        zeros.append(sum(1 << k for k in free if k != j))
+    least_common = len(free) - 2
+    work = 0
+    for i in pivots:
+        bit = 1 << i
+        new_rays, new_zeros = [], []
+        positive = [(ray, z) for ray, z in zip(rays, zeros) if ray[i] > 0]
+        negative = [(ray, z) for ray, z in zip(rays, zeros) if ray[i] < 0]
+        for (ray_p, zp), (ray_q, zq) in itertools.product(positive, negative):
+            common = zp & zq
+            if common.bit_count() < least_common:
+                continue
+            # adjacent iff no third ray's zero set holds the common one
+            work += len(zeros)
+            if work > MAX_ENUMERATE_WORK:
+                raise ValueError("enumeration exceeded its work budget of "
+                                 f"{MAX_ENUMERATE_WORK} zero-set comparisons")
+            if sum(z & common == common for z in zeros) > 2:
+                continue
+            a, b = ray_p[i], -ray_q[i]
+            ray = [b * u + a * v for u, v in zip(ray_p, ray_q)]
+            g = math.gcd(*ray)
+            new_rays.append([v // g for v in ray])
+            new_zeros.append(common | bit)
+        kept = [k for k, ray in enumerate(rays) if ray[i] >= 0]
+        zeros = [zeros[k] | (0 if rays[k][i] else bit) for k in kept] + new_zeros
+        rays = [rays[k] for k in kept] + new_rays
 
-    def dfs(i: int, covered: int) -> None:
-        if i == N:
-            return
-        r = 0
-        mask = full & ~covered
-        while mask:
-            if mask & 1 and last_col[r] < i:
-                return
-            mask >>= 1
-            r += 1
-        if basis.add(columns[i]):
-            chosen.append(i)
-            # basis holds exactly the chosen columns, in order.  Once they
-            # span the all-ones column, every larger independent set has the
-            # same solution padded with zeros, so no vertex lies below here.
-            x = basis.express(ones) if covered | col_mask[i] == full else None
-            if x is None:
-                dfs(i + 1, covered | col_mask[i])
-            elif len(x) == len(chosen) and all(v > 0 for v in x.values()):
-                # x omits zero coefficients; a shorter x is a smaller support's point
-                entries = [Fraction(0)] * N
-                for t, j in enumerate(chosen):
-                    entries[j] = x[t]
-                found.append(Array3(spec.n, spec.d, entries))
-            chosen.pop()
-            basis.pop()
-        dfs(i + 1, covered)
-
-    dfs(0, 0)
+    found = [Array3(spec.n, spec.d, [Fraction(v, ray[N]) for v in ray[:N]]) for ray in rays]
     for A in found:
         if not is_vertex_rank(A, spec).is_vertex:
             raise CertificateError("enumerated point failed the rank criterion")

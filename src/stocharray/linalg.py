@@ -20,8 +20,7 @@ class SparseBasis:
     Stored column t holds 1 at its pivot, its lowest nonzero row, and is
     kept with the (scale, multipliers) that produced it from the column
     as added, so any combination of stored columns can be rewritten over
-    the added ones.  `pop` drops the column added last, as a depth-first
-    search over column subsets needs.
+    the added ones.
     """
 
     def __init__(self):
@@ -70,10 +69,6 @@ class SparseBasis:
         self._pivot_of[p] = len(self._stored)
         self._stored.append((p, v, scale, multipliers))
         return True
-
-    def pop(self) -> None:
-        """Drop the column added last."""
-        del self._pivot_of[self._stored.pop()[0]]
 
     def express(self, column: Mapping) -> Optional[dict]:
         """Nonzero coefficients writing ``column`` over the added columns, by

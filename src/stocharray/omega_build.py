@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from stocharray.core import HALF, Array3, PolytopeSpec
 from stocharray.certify import certify_construction
 from stocharray.designs import (
+    MAX_LATIN_ORDER,
     BipartiteGraph,
     DoubleLatinSquare,
     MatchingError,
@@ -116,9 +117,11 @@ def random_single_cycle(t: int, rng: random.Random) -> tuple:
 
 
 def build_double_latin(n: int, rng: random.Random) -> DoubleLatinSquare:
-    """A stacked double Latin square of even order n, always Hamiltonian."""
+    """A stacked double Latin square of even order n, at most 2 MAX_LATIN_ORDER, Hamiltonian."""
     if n < 2 or n % 2:
         raise ValueError("double Latin squares need even order >= 2")
+    if n > 2 * MAX_LATIN_ORDER:
+        raise ValueError(f"double Latin squares are capped at order {2 * MAX_LATIN_ORDER}; got {n}")
     t = n // 2
     A = random_latin(t, rng.randrange(1 << 30))
     B = random_latin(t, rng.randrange(1 << 30))

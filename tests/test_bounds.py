@@ -20,7 +20,7 @@ from stocharray.bounds import (
     support_size_bound,
     two_factor_log_lower_bound,
 )
-from stocharray.certify import rank_of_constraints
+from stocharray.certify import independent_groups
 from stocharray.core import PolytopeSpec
 from stocharray.designs import count_latin, random_latin
 
@@ -170,7 +170,7 @@ def test_support_size_bound_matches_constraint_rank():
     ]
     for kind, n, d in cases:
         spec = PolytopeSpec(kind, n, d)
-        assert support_size_bound(spec) == rank_of_constraints(spec)
+        assert support_size_bound(spec) == len(independent_groups(spec))
 
 
 def test_log_of_int():

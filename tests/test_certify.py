@@ -15,8 +15,8 @@ from stocharray.certify import (
     build_support_graph,
     enumerate_vertices,
     half_integral_certificate,
+    independent_groups,
     is_vertex_rank,
-    rank_of_constraints,
     support_columns,
 )
 from stocharray.core import Array3, PolytopeSpec, is_member, uniform_array
@@ -211,9 +211,9 @@ def test_rank_and_dimension_values():
     """The dimension of a polytope is its cell count minus the constraint rank."""
 
     def dimension(spec):
-        return spec.total_cells - rank_of_constraints(spec)
+        return spec.total_cells - len(independent_groups(spec))
 
-    assert rank_of_constraints(PolytopeSpec("omega", 3, 2)) == 19
+    assert len(independent_groups(PolytopeSpec("omega", 3, 2))) == 19
     assert dimension(PolytopeSpec("omega", 3, 2)) == 8
     assert dimension(PolytopeSpec("omega", 3, 1)) == 4
     assert dimension(PolytopeSpec("sigma", 2, 2)) == 4
@@ -236,8 +236,8 @@ def test_enumerate_birkhoff_gives_permutation_matrices():
 
 
 def test_enumerate_matches_brute_force_oracle():
-    """Every cell subset solved on its own, against the depth-first search
-    that stops below a support once it spans the all-ones column."""
+    """Every cell subset solved on its own, against the double description's
+    extreme rays."""
     for kind, n, d in (("omega", 2, 1), ("omega", 3, 1), ("omega", 2, 2),
                        ("sigma", 2, 1), ("sigma", 3, 1), ("sigma", 2, 2)):
         verts = enumerate_vertices(PolytopeSpec(kind, n, d))
@@ -267,21 +267,51 @@ def test_enumerate_sigma_cube():
         assert is_vertex_rank(A, spec).is_vertex
 
 
+def test_enumerate_beyond_sixteen_cells():
+    """Instances above 16 cells: the 5! permutation matrices, the 12 Latin
+    squares of order 3 among the 66 vertices of omega n=3 d=2, and the
+    (3!)^2 permutation pairs among the 1,386 vertices of sigma n=3 d=2."""
+    verts = enumerate_vertices(PolytopeSpec("omega", 5, 1))
+    assert len(verts) == 120
+    assert set(verts) == {permutation_array(p) for p in itertools.permutations(range(5))}
+
+    spec = PolytopeSpec("omega", 3, 2)
+    verts = enumerate_vertices(spec)
+    assert len(verts) == 66
+    latin = {latin_to_array(LatinSquare(grid)) for grid in oracle_latin_squares(3)}
+    assert len(latin) == 12 and latin <= set(verts)
+    assert {A for A in verts if set(A.entries) <= {0, 1}} == latin
+    assert all(is_vertex_rank(A, spec).is_vertex for A in verts)
+
+    verts = enumerate_vertices(PolytopeSpec("sigma", 3, 2))
+    assert len(verts) == 1386
+    perms = list(itertools.permutations(range(3)))
+    pairs = {tuple_to_array(pair) for pair in itertools.product(perms, repeat=2)}
+    assert len(pairs) == 36 and pairs <= set(verts)
+    assert sum(set(A.entries) <= {0, 1} for A in verts) == 36
+
+
 def test_enumerate_guards():
-    with pytest.raises(ValueError):
-        enumerate_vertices(PolytopeSpec("omega", 2, 3))
-    with pytest.raises(ValueError):
-        enumerate_vertices(PolytopeSpec("omega", 6, 1))
-    with pytest.raises(ValueError):
-        enumerate_vertices(PolytopeSpec("omega", 2, 1), max_cells=3)
-    # 25 cells would search for about 15 s and 27 for over 5 minutes; both are refused at once
-    for spec in (PolytopeSpec("omega", 5, 1), PolytopeSpec("omega", 3, 2)):
+    """Above the cell or axis cap an instance is refused before any
+    elimination; under them, a run that passes the work budget is refused
+    mid-run."""
+    for spec, shape in ((PolytopeSpec("omega", 5, 2), "125 cells and 3 axes"),
+                        (PolytopeSpec("omega", 1, 64), "1 cells and 65 axes")):
         start = time.perf_counter()
-        with pytest.raises(ValueError, match="capped at 16 cells"):
+        with pytest.raises(ValueError, match=f"{shape}; enumeration is capped at 64 of each"):
             enumerate_vertices(spec)
         assert time.perf_counter() - start < 1.0
-    # 16 cells, the cap itself, still runs: the 4! permutation matrices
-    assert len(enumerate_vertices(PolytopeSpec("omega", 4, 1))) == 24
+    assert len(enumerate_vertices(PolytopeSpec("omega", 1, 63))) == 1
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="work budget of 10000000 zero-set comparisons"):
+        enumerate_vertices(PolytopeSpec("omega", 6, 1))
+    assert time.perf_counter() - start < 5.0
+    # d = 3 runs: the two parity cubes, and 48 sigma vertices with the 2^3 permutation triples
+    assert len(enumerate_vertices(PolytopeSpec("omega", 2, 3))) == 2
+    verts = enumerate_vertices(PolytopeSpec("sigma", 2, 3))
+    perms = list(itertools.permutations(range(2)))
+    triples = {tuple_to_array(t) for t in itertools.product(perms, repeat=3)}
+    assert len(verts) == 48 and {A for A in verts if set(A.entries) <= {0, 1}} == triples
 
 
 # ─── certificate dataclass contracts ─────────────────────────────────────────

@@ -30,14 +30,17 @@ REPORT_GOLDEN = GOLDENS / "bounds-report-n10.json"
 PERMANENT_MATRIX = GOLDENS / "permanent-order8-matrix.json"
 PERMANENT_GOLDEN = GOLDENS / "permanent-order8.json"
 ENUMERATE_GOLDEN = GOLDENS / "enumerate-omega-n4-d1.json"
+LATIN_CUBE_ENUMERATE_GOLDEN = GOLDENS / "enumerate-omega-n3-d2.json"
 LATIN_GOLDEN = GOLDENS / "designs-latin-order9-seed5.json"
 SIGMA_CONSTRUCT_GOLDEN = GOLDENS / "sigma-n8-seed2.json"
 # committed command outputs and inputs that are not arrays
 NON_ARRAY_GOLDENS = (
     SAMPLE_GOLDEN, SIGMA_SAMPLE_GOLDEN, DEEP_SAMPLE_GOLDEN, FLAT_SAMPLE_GOLDEN, WITNESS_GOLDEN,
-    REPORT_GOLDEN, PERMANENT_MATRIX, PERMANENT_GOLDEN, ENUMERATE_GOLDEN, LATIN_GOLDEN,
+    REPORT_GOLDEN, PERMANENT_MATRIX, PERMANENT_GOLDEN, ENUMERATE_GOLDEN,
+    LATIN_CUBE_ENUMERATE_GOLDEN, LATIN_GOLDEN,
 )
 ENUMERATE_ARGV = ("enumerate", "--kind", "omega", "--n", "4", "--d", "1")
+LATIN_CUBE_ENUMERATE_ARGV = ("enumerate", "--kind", "omega", "--n", "3", "--d", "2")
 SAMPLE_ARGV = ("sample", "--kind", "omega", "--n", "4", "--d", "2", "--trials", "5", "--seed", "7")
 SIGMA_SAMPLE_ARGV = ("sample", "--kind", "sigma", *SAMPLE_ARGV[3:])
 DEEP_SAMPLE_ARGV = ("sample", "--kind", "omega", "--n", "3", "--d", "3", "--trials", "3", "--seed", "11")
@@ -212,13 +215,19 @@ def test_enumerate_counts(capsys):
 
 
 def test_enumerate_too_large(capsys):
-    code, _, err = run(capsys, "enumerate", "--kind", "omega", "--n", "6", "--d", "1")
-    assert code == 2 and "invalid parameters" in err
-    # 25 and 27 cells: the search would run for minutes, so it is refused up front
-    for n, d, cells in (("5", "1", 25), ("3", "2", 27)):
+    """125 cells or 501 axes pass the caps and are refused up front; omega
+    n=6 d=1 passes the work budget and is refused mid-run.  All exit 2
+    naming the limit."""
+    for n, d, limit, seconds in (
+        ("5", "2", "instance has 125 cells and 3 axes; enumeration is capped at 64 of each", 1.0),
+        ("1", "500", "instance has 1 cells and 501 axes", 1.0),
+        ("6", "1", "work budget of 10000000 zero-set comparisons", 5.0),
+    ):
+        start = time.perf_counter()
         code, out, err = run(capsys, "enumerate", "--kind", "omega", "--n", n, "--d", d)
         assert code == 2 and out == ""
-        assert f"instance has {cells} cells" in err and "capped at 16 cells" in err
+        assert "invalid parameters" in err and limit in err
+        assert time.perf_counter() - start < seconds
 
 
 # ─── construct ───────────────────────────────────────────────────────────────
@@ -312,6 +321,15 @@ def test_designs_latin_order_cap(capsys):
         assert code == 2 and out == ""
         assert f"capped at order {MAX_LATIN_ORDER}" in err
         assert time.perf_counter() - start < 1.0
+
+
+def test_double_latin_order_cap_names_the_order_given(capsys):
+    """construct omega and designs double-latin refuse orders whose blocks pass
+    the Latin cap, in terms of the --n given rather than the block order."""
+    for argv in (("construct", "omega", "--n", "64"), ("designs", "double-latin", "--n", "64")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert f"double Latin squares are capped at order {2 * MAX_LATIN_ORDER}; got 64" in err
 
 
 # ─── bounds ──────────────────────────────────────────────────────────────────
@@ -536,6 +554,12 @@ def test_enumerate_prints_the_committed_golden_bytes(capsys):
     assert out == ENUMERATE_GOLDEN.read_text(encoding="utf-8")
 
 
+def test_latin_cube_enumerate_prints_the_committed_golden_bytes(capsys):
+    """omega n=3 d=2: 66 vertices, 12 of them the Latin squares of order 3."""
+    _, out, _ = run(capsys, *LATIN_CUBE_ENUMERATE_ARGV)
+    assert out == LATIN_CUBE_ENUMERATE_GOLDEN.read_text(encoding="utf-8")
+
+
 def test_golden_bytes_hold_under_optimize_flag():
     """With asserts stripped (python -O) the checks still run and the bytes match:
     the builders' certificates for construct, the rank re-check for enumerate,
@@ -544,6 +568,7 @@ def test_golden_bytes_hold_under_optimize_flag():
         (("construct", "omega", "--n", "10", "--seed", "1"), GOLDENS / "omega-n10-seed1.json"),
         (("construct", "sigma", "--n", "8", "--seed", "2"), SIGMA_CONSTRUCT_GOLDEN),
         (ENUMERATE_ARGV, ENUMERATE_GOLDEN),
+        (LATIN_CUBE_ENUMERATE_ARGV, LATIN_CUBE_ENUMERATE_GOLDEN),
         (SAMPLE_ARGV, SAMPLE_GOLDEN),
         (SIGMA_SAMPLE_ARGV, SIGMA_SAMPLE_GOLDEN),
         (DEEP_SAMPLE_ARGV, DEEP_SAMPLE_GOLDEN),

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from fixtures import golden_array, latin_to_array
 from oracles import oracle_groups, oracle_latin_squares
-from stocharray.certify import rank_of_constraints
+from stocharray.certify import independent_groups
 from stocharray.core import (
     HALF,
     Array3,
@@ -218,7 +218,7 @@ def test_affine_dimension_closed_form():
     """The omega polytope has affine dimension (n-1)^(d+1)."""
     for n, d in ((3, 2), (2, 1), (3, 4), (4, 5)):
         spec = PolytopeSpec("omega", n, d)
-        assert spec.total_cells - rank_of_constraints(spec) == (n - 1) ** (d + 1)
+        assert spec.total_cells - len(independent_groups(spec)) == (n - 1) ** (d + 1)
 
 
 def test_uniform_array_values():

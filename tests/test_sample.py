@@ -10,7 +10,7 @@ from fixtures import latin_to_array
 from oracles import oracle_vertices
 from stocharray import sample
 from stocharray.bounds import support_size_bound
-from stocharray.certify import rank_of_constraints
+from stocharray.certify import enumerate_vertices, independent_groups
 from stocharray.core import PolytopeSpec, flat_index, uniform_array
 from stocharray.designs import random_latin
 from stocharray.sample import (
@@ -83,7 +83,7 @@ def test_reduced_constraints_drop_counts():
             total_groups = (spec.d + 1) * spec.n**spec.d
         else:
             total_groups = (spec.d + 1) * spec.n
-        assert len(tableau) == total_groups - expect_dropped == rank_of_constraints(spec)
+        assert len(tableau) == total_groups - expect_dropped == len(independent_groups(spec))
         assert all(len(r) == spec.total_cells + 1 for r in tableau)
         # full row rank: each row has its own basic column, a unit column
         assert len(set(basis)) == len(tableau)
@@ -109,7 +109,7 @@ def test_lp_start_is_the_closed_form_vertex():
                 for row, j in zip(tableau, basis):
                     x[j] = row[-1]
                 assert x == closed_form_vertex(spec), (kind, n, d)
-                assert len(tableau) == rank_of_constraints(spec), (kind, n, d)
+                assert len(tableau) == len(independent_groups(spec)), (kind, n, d)
 
 
 def test_maximize_matches_the_best_oracle_vertex():
@@ -125,6 +125,19 @@ def test_maximize_matches_the_best_oracle_vertex():
             A, value = maximize(spec, obj)
             assert value == best, (kind, n, d, seed)
             assert tuple(A.entries) in vertices
+
+
+def test_maximize_optimum_is_an_enumerated_vertex():
+    """At n=3 d=2, beyond the brute-force oracle, the double description is
+    the reference: the optimum is one of its vertices and the best of them."""
+    for kind in ("omega", "sigma"):
+        spec = PolytopeSpec(kind, 3, 2)
+        vertices = set(enumerate_vertices(spec))
+        for seed in range(8):
+            obj = gaussian_objective(spec, seed)
+            A, value = maximize(spec, obj)
+            assert A in vertices, (kind, seed)
+            assert value == max(obj.value_at(V) for V in vertices), (kind, seed)
 
 
 def test_run_experiment_lp_size_cap(monkeypatch):
