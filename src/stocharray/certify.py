@@ -62,16 +62,12 @@ class VertexCertificate:
 
 @dataclass(frozen=True)
 class GraphComponent:
-    """One connected component of a support graph.
-
-    Exactly one of ``parts`` (a bipartition of the cells) and
-    ``odd_cycle`` (a closed walk of odd length) is set.
-    """
+    """One connected component of a support graph; ``parts`` is its
+    bipartition when it has one, else None."""
 
     cells: tuple
     is_bipartite: bool
     parts: Optional[tuple] = None
-    odd_cycle: Optional[tuple] = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,11 +103,11 @@ def _require_member(A: Array3, spec: PolytopeSpec) -> None:
 def build_support_graph(A: Array3, spec: PolytopeSpec) -> SupportGraph:
     """Adjacency structure of the 1/2-cells of a half-integral member of spec.
 
-    Every constraint group of a half-integral member carries either one
-    value-1 cell or exactly two value-1/2 cells, so the edge set is read
-    directly off the groups of ``spec``.
+    A must be a member of spec; this is not re-tested here.  Every
+    constraint group of a half-integral member carries either one value-1
+    cell or exactly two value-1/2 cells, so the edge set is read directly
+    off the groups of ``spec``.
     """
-    _require_member(A, spec)
     groups = cell_groups(spec)
     halves = []
     members: dict = {}  # group id -> its 1/2-cells
@@ -140,49 +136,28 @@ def build_support_graph(A: Array3, spec: PolytopeSpec) -> SupportGraph:
         if start in color:
             continue
         color[start] = 0
-        parent = {start: None}
         queue = [start]
         comp = [start]
-        conflict = None
+        bipartite = True
         while queue:
             u = queue.pop()
             for v in adj[u]:
                 if v not in color:
                     color[v] = 1 - color[u]
-                    parent[v] = u
                     comp.append(v)
                     queue.append(v)
-                elif color[v] == color[u] and conflict is None:
-                    conflict = (u, v)
+                elif color[v] == color[u]:
+                    bipartite = False
         comp.sort()
-        if conflict is None:
+        if bipartite:
             part0 = tuple(c for c in comp if color[c] == 0)
             part1 = tuple(c for c in comp if color[c] == 1)
             components.append(
                 GraphComponent(tuple(comp), True, parts=(part0, part1))
             )
         else:
-            walk = _odd_walk(parent, *conflict)
-            components.append(GraphComponent(tuple(comp), False, odd_cycle=walk))
+            components.append(GraphComponent(tuple(comp), False))
     return SupportGraph(halves, frozenset(edges), tuple(components))
-
-
-def _odd_walk(parent: dict, u, v) -> tuple:
-    """Closed odd walk through the conflict edge (u, v), via tree paths."""
-
-    def path_to_root(x):
-        out = [x]
-        while parent[x] is not None:
-            x = parent[x]
-            out.append(x)
-        return out
-
-    up, vp = path_to_root(u), path_to_root(v)
-    walk = list(reversed(up)) + vp
-    assert walk[0] == walk[-1] and len(walk) % 2 == 0, (
-        "closed walk must start and end at the root with an odd edge count"
-    )
-    return tuple(walk)
 
 
 def half_integral_certificate(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
@@ -193,6 +168,7 @@ def half_integral_certificate(A: Array3, spec: PolytopeSpec) -> VertexCertificat
     shifting its two parts by +1/4 and -1/4 preserves every group sum, so
     X = A + shift and Y = A - shift are distinct members averaging to A.
     """
+    _require_member(A, spec)
     graph = build_support_graph(A, spec)
     for comp in graph.components:
         if comp.is_bipartite:
@@ -228,16 +204,17 @@ def _check_witness(A: Array3, spec: PolytopeSpec, X: Array3, Y: Array3) -> None:
 def certify_construction(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
     """Both certificates of a half-integral member built to be a vertex.
 
-    The support graph must be one odd component, which is exactly the
-    graph certificate's acceptance; the rank certificate must agree, and
-    is returned.
+    The rank certificate runs first and is the one membership test; the
+    support graph of that member must then be one odd component, which is
+    exactly the graph certificate's acceptance.  The rank certificate must
+    agree, and is returned.
     """
+    rank_cert = is_vertex_rank(A, spec)
     graph = build_support_graph(A, spec)
     if not graph.is_connected or graph.has_bipartite_component:
         raise CertificateError(
             "construction invariant broken: support graph must be one odd component"
         )
-    rank_cert = is_vertex_rank(A, spec)
     if not rank_cert.is_vertex:
         raise CertificateError("graph and rank certificates must both accept the construction")
     return rank_cert

@@ -36,7 +36,7 @@ from stocharray.core import (
 )
 from stocharray.designs import is_hamiltonian, random_latin
 from stocharray.omega_build import ConstructionError, build_double_latin, construct_vertex
-from stocharray.sample import run_experiment
+from stocharray.sample import MAX_TRIALS, run_experiment
 from stocharray.sigma_build import construct_sigma_vertex
 
 import random
@@ -180,6 +180,8 @@ def _cmd_construct(argv) -> int:
     a = p.parse_args(argv)
     if a.count < 1:
         raise ValueError("--count must be at least 1")
+    if a.count > MAX_TRIALS:
+        raise ValueError(f"construct is capped at a count of {MAX_TRIALS}; got {a.count}")
     seed = _resolve_seed(a.seed)
     docs = [(seed + i, _construct_one(a.family, a.n, seed + i)) for i in range(a.count)]
     if a.out:

@@ -51,10 +51,6 @@ class LatinSquare:
     def order(self) -> int:
         return len(self.grid)
 
-    @classmethod
-    def cyclic(cls, t: int) -> "LatinSquare":
-        return cls([[(i + j) % t for j in range(t)] for i in range(t)])
-
     def __eq__(self, other):
         return isinstance(other, LatinSquare) and self.grid == other.grid
 
@@ -371,30 +367,43 @@ def perfect_matching(G: BipartiteGraph, order=None) -> dict:
         adj = [row[:] for row in adj]
         for row in adj:
             rng.shuffle(row)
-    match_r = _kuhn(adj, lefts, G.n_right)
-    if match_r is None:
+    need = [1] * G.n_left
+    owners = _augment(adj, lefts, need, need)
+    if owners is None:
         raise MatchingError("no perfect matching")
-    return {u: v for v, u in match_r.items()}
+    return {u: v for v, mates in owners.items() for u in mates}
 
 
-def _kuhn(adj: list, lefts, n_right: int) -> dict | None:
-    """Kuhn's algorithm; returns right -> left map covering all of ``lefts``."""
-    match_r: dict = {}
+def _augment(adj: list, lefts, need_l: list, need_r: list) -> dict | None:
+    """Edges of ``adj`` giving each left u exactly need_l[u] distinct partners
+    and each right v at most need_r[v], by augmenting paths; returns right ->
+    its left partners, or None when some left vertex cannot be served.
+
+    With every demand 1 this is Kuhn's algorithm."""
+    owners: dict = {}
 
     def try_augment(u, seen):
         for v in adj[u]:
-            if v in seen:
+            if v in seen or u in owners.get(v, ()):
                 continue
             seen.add(v)
-            if v not in match_r or try_augment(match_r[v], seen):
-                match_r[v] = u
+            mates = owners.setdefault(v, [])
+            if len(mates) < need_r[v]:
+                mates.append(u)
                 return True
+            for u2 in list(mates):
+                mates.remove(u2)
+                if try_augment(u2, seen):
+                    mates.append(u)
+                    return True
+                mates.append(u2)
         return False
 
     for u in lefts:
-        if not try_augment(u, set()):
-            return None
-    return match_r
+        for _ in range(need_l[u]):
+            if not try_augment(u, set()):
+                return None
+    return owners
 
 
 def extract_two_factor(G: BipartiteGraph, order=None) -> frozenset:
@@ -420,17 +429,8 @@ def extract_two_factor(G: BipartiteGraph, order=None) -> frozenset:
         G.without_edges(m1_edges), None if order is None else order + 1
     )
     factor = m1_edges | frozenset(m2.items())
-    assert _is_two_factor(factor, n), "peeled matchings do not form a 2-factor"
+    assert BipartiteGraph(n, n, factor).is_regular(2), "peeled matchings do not form a 2-factor"
     return factor
-
-
-def _is_two_factor(edges, n: int) -> bool:
-    degs_l = [0] * n
-    degs_r = [0] * n
-    for (u, v) in edges:
-        degs_l[u] += 1
-        degs_r[v] += 1
-    return all(x == 2 for x in degs_l) and all(x == 2 for x in degs_r)
 
 
 def _path_endpoints(path_edges) -> tuple:
@@ -477,7 +477,7 @@ def two_factor_containing_path(G: BipartiteGraph, path_edges) -> frozenset:
         factor = _factor_via_bmatching(G, path_edges, end_l, end_r, mid_l, mid_r)
     if factor is None:
         raise MatchingError("no 2-factor contains the given path")
-    assert path_edges <= factor and _is_two_factor(factor, n)
+    assert path_edges <= factor and BipartiteGraph(n, n, factor).is_regular(2)
     return factor
 
 
@@ -536,34 +536,7 @@ def _factor_via_bmatching(G, path_edges, end_l, end_r, mid_l, mid_r):
     adj = [[] for _ in range(n)]
     for (u, v) in sorted(G.edges - path_edges):
         adj[u].append(v)
-
-    owners: dict = {v: [] for v in range(n)}
-    chosen: set = set()
-    used_r = [0] * n
-
-    def try_augment(u, seen):
-        for v in adj[u]:
-            if v in seen or (u, v) in chosen:
-                continue
-            seen.add(v)
-            if used_r[v] < need_r[v]:
-                chosen.add((u, v))
-                owners[v].append(u)
-                used_r[v] += 1
-                return True
-            for u2 in list(owners[v]):
-                chosen.discard((u2, v))
-                owners[v].remove(u2)
-                if try_augment(u2, seen):
-                    chosen.add((u, v))
-                    owners[v].append(u)
-                    return True
-                chosen.add((u2, v))
-                owners[v].append(u2)
-        return False
-
-    for u in range(n):
-        for _ in range(need_l[u]):
-            if not try_augment(u, set()):
-                return None
-    return path_edges | frozenset(chosen)
+    owners = _augment(adj, range(n), need_l, need_r)
+    if owners is None:
+        return None
+    return path_edges | frozenset((u, v) for v, mates in owners.items() for u in mates)

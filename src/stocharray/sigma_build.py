@@ -20,6 +20,9 @@ from stocharray.core import HALF, Array3, PolytopeSpec
 from stocharray.certify import certify_construction
 from stocharray.designs import HCycle, random_h_cycle
 
+# the largest order built: the array has n^3 entries, about 180 MB at order 100
+MAX_SIGMA_ORDER = 100
+
 
 class SymbolMatrix:
     """Symbols written on 2n grid cells, two per row, column, and symbol."""
@@ -69,12 +72,15 @@ def build_symbol_matrix(H: HCycle, seed: int) -> SymbolMatrix:
 def construct_sigma_vertex(n: int, seed: int = 0) -> tuple:
     """Build a fractional vertex of the order-n hyperplane-stochastic polytope.
 
-    Works for every n >= 2 and never fails; returns (array, certificate)
-    with the rank-based certificate after checking that the graph
-    criterion agrees.
+    Works for every 2 <= n <= MAX_SIGMA_ORDER and never fails; returns
+    (array, certificate) with the rank-based certificate after checking
+    that the graph criterion agrees.  Larger orders are refused before
+    anything is allocated.
     """
     if n < 2:
         raise ValueError("order must be >= 2")
+    if n > MAX_SIGMA_ORDER:
+        raise ValueError(f"construct sigma is capped at order {MAX_SIGMA_ORDER}; got {n}")
     rng = random.Random(seed)
     H = random_h_cycle(n, rng.randrange(1 << 30))
     M = build_symbol_matrix(H, rng.randrange(1 << 30))

@@ -1,6 +1,8 @@
 """Vertex certification: support-graph criterion, rank criterion, enumeration."""
 
 import itertools
+import json
+import sys
 import time
 from fractions import Fraction
 
@@ -19,8 +21,9 @@ from stocharray.certify import (
     is_vertex_rank,
     support_columns,
 )
+from stocharray.cli import main
 from stocharray.core import Array3, PolytopeSpec, is_member, uniform_array
-from stocharray.designs import LatinSquare, random_latin
+from stocharray.designs import LatinSquare, is_hamiltonian, random_latin
 from stocharray.linalg import Elimination
 from stocharray.omega_build import construct_vertex
 from stocharray.sigma_build import construct_sigma_vertex
@@ -59,12 +62,7 @@ def test_known_omega_vertex_graph_structure():
     assert G.is_connected
     assert not G.has_bipartite_component
     comp = G.components[0]
-    assert comp.parts is None and comp.odd_cycle is not None
-    walk = comp.odd_cycle
-    assert walk[0] == walk[-1] and len(walk) % 2 == 0
-    edge_set = G.edges
-    for a, b in zip(walk, walk[1:]):
-        assert (min(a, b), max(a, b)) in edge_set
+    assert not comp.is_bipartite and comp.parts is None
 
 
 def test_known_sigma_vertex_graph_is_k4():
@@ -102,7 +100,7 @@ def test_graph_rejects_non_half_integral_and_non_member():
         build_support_graph(uniform_array(spec), spec)
     zeros = Array3(2, 1, [0] * 4)
     with pytest.raises(ValueError):
-        build_support_graph(zeros, PolytopeSpec("omega", 2, 1))
+        half_integral_certificate(zeros, PolytopeSpec("omega", 2, 1))
     with pytest.raises(ValueError):
         half_integral_certificate(all_half_array(2, 1), PolytopeSpec("omega", 3, 1))
 
@@ -414,3 +412,30 @@ def test_graph_is_built_once_per_construction(monkeypatch):
     construct_vertex(10, 1)
     construct_sigma_vertex(6, 1)
     assert calls == [PolytopeSpec("omega", 10, 2), PolytopeSpec("sigma", 6, 2)]
+
+
+def count_calls(monkeypatch, function) -> list:
+    """Route every package module's reference to ``function`` through a
+    counter; returns the list that grows by one per call."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stocharray" and getattr(module, function.__name__, None) is function:
+            monkeypatch.setattr(module, function.__name__, counting)
+    return calls
+
+
+def test_each_construction_tests_membership_and_hamiltonicity_once(monkeypatch, capsys):
+    member_calls = count_calls(monkeypatch, is_member)
+    hamiltonian_calls = count_calls(monkeypatch, is_hamiltonian)
+    construct_vertex(10, 1)
+    assert (len(member_calls), len(hamiltonian_calls)) == (1, 1)
+    construct_sigma_vertex(6, 1)
+    assert (len(member_calls), len(hamiltonian_calls)) == (2, 1)
+    assert main(["designs", "double-latin", "--n", "10", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["hamiltonian"] is True
+    assert (len(member_calls), len(hamiltonian_calls)) == (2, 2)

@@ -16,6 +16,8 @@ from stocharray.bounds import MAX_REPORT_ORDER
 from stocharray.cli import main
 from stocharray.core import HALF, PolytopeSpec, to_json_dict, uniform_array
 from stocharray.designs import MAX_LATIN_ORDER, random_latin
+from stocharray.sample import MAX_TRIALS
+from stocharray.sigma_build import MAX_SIGMA_ORDER
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDENS = ROOT / "goldens"
@@ -253,6 +255,25 @@ def test_construct_error_codes(capsys):
     assert code == 1 and "construction failed" in err
     code, _, _ = run(capsys, "construct", "omega", "--n", "6", "--count", "0")
     assert code == 2
+
+
+def test_construct_sigma_order_cap(capsys):
+    """Above the cap the order is refused at once, before the n^3 array is allocated."""
+    for n in (MAX_SIGMA_ORDER + 1, 10**6):
+        start = time.perf_counter()
+        code, out, err = run(capsys, "construct", "sigma", "--n", str(n))
+        assert time.perf_counter() - start < 1.0
+        assert code == 2 and out == ""
+        assert f"capped at order {MAX_SIGMA_ORDER}; got {n}" in err
+
+
+def test_construct_count_cap(capsys):
+    """More than MAX_TRIALS runs are refused before the first build."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "construct", "omega", "--n", "10", "--count", "1000000000")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == ""
+    assert f"capped at a count of {MAX_TRIALS}; got 1000000000" in err
 
 
 def test_construct_count_collects_results(capsys):

@@ -58,7 +58,8 @@ def test_latin_square_validation():
         LatinSquare([[0, 1], [0, 1]])
     with pytest.raises(ValueError):
         LatinSquare([[0, 1]])
-    assert LatinSquare.cyclic(4).grid[1] == (1, 2, 3, 0)
+    cyclic = LatinSquare([[0, 1, 2, 3], [1, 2, 3, 0], [2, 3, 0, 1], [3, 0, 1, 2]])
+    assert cyclic.grid[1] == (1, 2, 3, 0)
 
 
 def test_random_latin_deterministic_and_valid():
