@@ -9,6 +9,7 @@ reach.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 
 from stocharray.core import PolytopeSpec
@@ -16,14 +17,16 @@ from stocharray.designs import count_latin
 
 
 def permanent(M) -> object:
-    """Exact permanent by inclusion-exclusion over column subsets.
+    """Exact permanent by Glynn's formula (Glynn 2010).
 
-    Runs in O(2^n n) with Gray-code updates of the running row sums;
-    capped at n = 20.  Entries are ints or Fractions.  The rows are
-    scaled once by the lcm D of all denominators, so the loop adds and
-    multiplies plain ints, and the permanent is that integer total over
-    D^n.  Integer matrices give an int, matrices with a Fraction entry
-    a Fraction.
+    perm(M) = 2^-(n-1) * sum over signs e with e_0 = +1 of
+    prod(e) * prod_j sum_i e_i M[i][j]: 2^(n-1) terms, each sign vector
+    one flip from the last in Gray-code order, so the column sums update
+    by twice one row.  Capped at n = 20.  Entries are ints or Fractions.
+    The rows are scaled once by the lcm D of all denominators, so the loop
+    adds and multiplies plain ints, and the integer total divides exactly
+    by 2^(n-1) into the permanent times D^n.  Integer matrices give an
+    int, matrices with a Fraction entry a Fraction.
     """
     rows = [list(r) for r in M]
     n = len(rows)
@@ -34,21 +37,22 @@ def permanent(M) -> object:
     if n > 20:
         raise ValueError("permanent capped at order 20")
     D = math.lcm(*(x.denominator for r in rows for x in r))
-    cols = [[r[j].numerator * (D // r[j].denominator) for r in rows] for j in range(n)]
-    sums = [0] * n
-    total = 0
-    prev_gray = 0
-    for s in range(1, 1 << n):
-        gray = s ^ (s >> 1)
-        changed = (gray ^ prev_gray).bit_length() - 1
-        col = cols[changed]
-        if gray & (1 << changed):
-            sums = [a + b for a, b in zip(sums, col)]
+    scaled = [[x.numerator * (D // x.denominator) for x in r] for r in rows]
+    twice = [[2 * x for x in r] for r in scaled]
+    sums = [sum(column) for column in zip(*scaled)]
+    total = math.prod(sums)
+    flipped = 0  # bit k set when the sign of row k + 1 is -1
+    for s in range(1, 1 << (n - 1)):
+        bit = s & -s  # the Gray code flips the lowest set bit of s
+        flipped ^= bit
+        row = twice[bit.bit_length()]
+        if flipped & bit:
+            sums = list(map(operator.sub, sums, row))
         else:
-            sums = [a - b for a, b in zip(sums, col)]
-        prev_gray = gray
-        # sign (-1)^(n - |gray|); each step flips one bit, so |gray| is odd iff s is
-        total += -math.prod(sums) if (n ^ s) & 1 else math.prod(sums)
+            sums = list(map(operator.add, sums, row))
+        # each step flips one sign, so prod(e) is -1 exactly when s is odd
+        total += -math.prod(sums) if s & 1 else math.prod(sums)
+    total //= 1 << (n - 1)
     if any(isinstance(x, Fraction) for r in rows for x in r):
         return Fraction(total, D**n)
     return total

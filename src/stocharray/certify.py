@@ -52,7 +52,7 @@ class VertexCertificate:
     witness: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.method not in ("graph", "rank", "enumeration"):
+        if self.method not in ("graph", "rank"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.is_vertex and self.witness is not None:
             raise ValueError("positive certificate cannot carry a witness")
@@ -169,6 +169,11 @@ def half_integral_certificate(A: Array3, spec: PolytopeSpec) -> VertexCertificat
     X = A + shift and Y = A - shift are distinct members averaging to A.
     """
     _require_member(A, spec)
+    return _graph_certificate(A, spec)
+
+
+def _graph_certificate(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
+    """`half_integral_certificate` of a member of spec, not re-tested here."""
     graph = build_support_graph(A, spec)
     for comp in graph.components:
         if comp.is_bipartite:
@@ -193,11 +198,33 @@ def _shift(A: Array3, delta: dict, sign: int) -> Array3:
 
 
 def _check_witness(A: Array3, spec: PolytopeSpec, X: Array3, Y: Array3) -> None:
-    if X == Y:
+    """Raise unless X and Y are distinct members of spec averaging to A.
+
+    A is a member of spec, so only the cells where X or Y does not hold
+    A's own entry object are read: every other cell equals A's entry,
+    which is nonnegative and adds nothing to a group sum of X - A or
+    Y - A.  The cells read are scaled to integers over their common
+    denominator.
+    """
+    a, x, y = A.entries, X.entries, Y.entries
+    moved = [i for i, (u, v, w) in enumerate(zip(a, x, y)) if v is not u or w is not u]
+    if all(x[i] == y[i] for i in moved):
         raise CertificateError("witness members coincide")
-    if not (is_member(X, spec) and is_member(Y, spec)):
+    scale = math.lcm(*(v.denominator for i in moved for v in (a[i], x[i], y[i])))
+    scaled = [
+        [v.numerator * (scale // v.denominator) for v in (a[i], x[i], y[i])] for i in moved
+    ]
+    if any(u < 0 or w < 0 for _, u, w in scaled):
         raise CertificateError("witness left the polytope")
-    if (X + Y).scale(HALF) != A:
+    groups = cell_groups(spec)
+    for k in (1, 2):
+        sums: dict = {}
+        for i, values in zip(moved, scaled):
+            for g in groups[i]:
+                sums[g] = sums.get(g, 0) + values[k] - values[0]
+        if any(sums.values()):
+            raise CertificateError("witness left the polytope")
+    if any(u + w != 2 * t for t, u, w in scaled):
         raise CertificateError("witness midpoint is not the queried point")
 
 
@@ -234,11 +261,14 @@ def support_columns(A: Array3, spec: PolytopeSpec) -> tuple:
 def _check_kernel(columns: list, x: list) -> None:
     if not any(x):
         raise CertificateError("kernel vector vanished")
+    # scaled by the lcm of its denominators, the vector sums in integers
+    scale = math.lcm(*(v.denominator for v in x if v))
     sums: dict = {}
     for column, v in zip(columns, x):
         if v:
+            w = v.numerator * (scale // v.denominator)
             for r, a in column.items():
-                sums[r] = sums.get(r, 0) + a * v
+                sums[r] = sums.get(r, 0) + a * w
     if any(sums.values()):
         raise CertificateError("kernel vector is not in the kernel of the support columns")
 
@@ -253,6 +283,11 @@ def is_vertex_rank(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
     largest feasible step produces the witness pair.
     """
     _require_member(A, spec)
+    return _rank_certificate(A, spec)
+
+
+def _rank_certificate(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
+    """`is_vertex_rank` of a member of spec, not re-tested here."""
     columns, support = support_columns(A, spec)
     v = eliminate(columns, stop_at_dependency=True).kernel
     if v is None:

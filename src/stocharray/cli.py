@@ -21,9 +21,9 @@ from stocharray import __version__
 from stocharray.bounds import construction_count_report, permanent
 from stocharray.certify import (
     CertificateError,
+    _graph_certificate,
+    _rank_certificate,
     enumerate_vertices,
-    half_integral_certificate,
-    is_vertex_rank,
 )
 from stocharray.core import (
     HALF,
@@ -117,7 +117,7 @@ def _cmd_verify(argv) -> int:
     methods = {}
     if a.method in ("graph", "both"):
         if half_integral:
-            methods["graph"] = _certificate_json(spec, half_integral_certificate(A, spec))
+            methods["graph"] = _certificate_json(spec, _graph_certificate(A, spec))
         elif a.method == "graph":
             raise ValueError(
                 "the graph criterion needs a half-integral array; use --method rank"
@@ -125,7 +125,7 @@ def _cmd_verify(argv) -> int:
         else:
             methods["graph"] = {"applicable": False}
     if a.method in ("rank", "both"):
-        methods["rank"] = _certificate_json(spec, is_vertex_rank(A, spec))
+        methods["rank"] = _certificate_json(spec, _rank_certificate(A, spec))
     verdicts = {m["is_vertex"] for m in methods.values() if "is_vertex" in m}
     if len(verdicts) != 1:
         raise RuntimeError("graph and rank criteria disagree")

@@ -24,6 +24,9 @@ from typing import Iterator, Mapping, Sequence
 
 HALF = Fraction(1, 2)
 
+# the largest array read: construct writes at most this many cells (sigma, n = 100)
+MAX_ARRAY_CELLS = 10**6
+
 KINDS = ("omega", "sigma")
 
 Cell = tuple  # tuple[int, ...] of length d + 1
@@ -289,7 +292,11 @@ def to_json_dict(spec: PolytopeSpec, A: Array3) -> dict:
 
 
 def from_json_dict(obj: Mapping) -> tuple:
-    """Parse an interchange dict; returns (PolytopeSpec, Array3)."""
+    """Parse an interchange dict; returns (PolytopeSpec, Array3).
+
+    A declared n^(d+1) above `MAX_ARRAY_CELLS` is refused before any entry
+    is decoded.
+    """
     try:
         kind, n, d, entries = obj["kind"], obj["n"], obj["d"], obj["entries"]
     except (KeyError, TypeError) as exc:
@@ -297,6 +304,12 @@ def from_json_dict(obj: Mapping) -> tuple:
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, d)):
         raise ValueError("n and d must be integers")
     spec = PolytopeSpec(kind, n, d)
+    # for n >= 2, n^(d+1) passes the cap once d + 1 reaches the cap's bit
+    # length, so a huge declared d is refused without computing the power
+    if n > 1 and (d + 1 >= MAX_ARRAY_CELLS.bit_length() or n ** (d + 1) > MAX_ARRAY_CELLS):
+        raise ValueError(
+            f"arrays are capped at {MAX_ARRAY_CELLS} cells; n={n}, d={d} declares more"
+        )
 
     def decode(x):
         if isinstance(x, list):

@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from stocharray.bounds import support_size_bound
-from stocharray.certify import half_integral_certificate, independent_groups, is_vertex_rank
+from stocharray.certify import _graph_certificate, _rank_certificate, independent_groups
 from stocharray.core import (
     HALF,
     Array3,
@@ -179,7 +179,7 @@ def run_experiment(spec: PolytopeSpec, trials: int, seed: int = 0) -> SampleRepo
         A, value = maximize(spec, objective)
         support = len(A.support())
         supports.append(support)
-        cert = is_vertex_rank(A, spec)
+        cert = _rank_certificate(A, spec)
         if cert.is_vertex:
             vertex_count += 1
         if support > cap:
@@ -199,7 +199,7 @@ def run_experiment(spec: PolytopeSpec, trials: int, seed: int = 0) -> SampleRepo
         }
         if half_integral:
             graph_checked += 1
-            gcert = half_integral_certificate(A, spec)
+            gcert = _graph_certificate(A, spec)
             entry["graph_agrees"] = gcert.is_vertex == cert.is_vertex
             if entry["graph_agrees"]:
                 graph_agreed += 1

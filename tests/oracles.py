@@ -172,3 +172,26 @@ def _solve_exactly(aug, k):
     if any(row[k] != 0 for row in M[rank:]):
         return None
     return [M[i][k] for i in range(k)]
+
+
+def oracle_witness_fault(kind: str, n: int, d: int, A, X, Y):
+    """The first fault of a claimed non-vertex witness (X, Y) of a member A,
+    checked densely over every cell.
+
+    A, X and Y are flat entry sequences in lexicographic cell order.
+    Returns "coincide" when X equals Y, "left the polytope" when X or Y has
+    a negative entry or a group of `oracle_groups` not summing to 1,
+    "midpoint" when (X + Y) / 2 differs from A in some cell, else None.
+    """
+    position = {c: i for i, c in enumerate(itertools.product(range(n), repeat=d + 1))}
+    A, X, Y = ([Fraction(v) for v in W] for W in (A, X, Y))
+    if X == Y:
+        return "coincide"
+    for W in (X, Y):
+        if any(v < 0 for v in W):
+            return "left the polytope"
+        if any(sum(W[position[c]] for c in g) != 1 for g in oracle_groups(kind, n, d)):
+            return "left the polytope"
+    if any((x + y) / 2 != a for a, x, y in zip(A, X, Y)):
+        return "midpoint"
+    return None

@@ -43,17 +43,21 @@ def test_permanent_guards():
 
 
 def test_permanent_matches_oracle():
+    """Every order 1..7 with signed ints, negative ints and signed Fractions."""
     rng = random.Random(5)
-    for trial in range(30):
-        n = rng.randrange(1, 6)
-        if trial % 3:
-            M = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(n)]
-        else:
+    for trial in range(42):
+        n = trial % 7 + 1
+        if trial % 3 == 0:
             M = [
                 [Fraction(rng.randrange(-4, 5), rng.randrange(1, 5)) for _ in range(n)]
                 for _ in range(n)
             ]
-        assert permanent(M) == oracle_permanent(M)
+        else:
+            low, high = (-3, 4) if trial % 3 == 1 else (-5, 0)
+            M = [[rng.randrange(low, high) for _ in range(n)] for _ in range(n)]
+        value = permanent(M)
+        assert type(value) is (int if trial % 3 else Fraction)
+        assert value == oracle_permanent(M)
 
 
 @st.composite

@@ -2,14 +2,17 @@
 
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from fixtures import golden_array, latin_to_array, random_latin_discordant, tuple_to_array
-from oracles import oracle_latin_squares, oracle_vertices
+from fixtures import GOLDENS, golden_array, latin_to_array, random_latin_discordant, tuple_to_array
+from oracles import oracle_latin_squares, oracle_vertices, oracle_witness_fault
 from stocharray import certify
 from stocharray.certify import (
     CertificateError,
@@ -22,10 +25,11 @@ from stocharray.certify import (
     support_columns,
 )
 from stocharray.cli import main
-from stocharray.core import Array3, PolytopeSpec, is_member, uniform_array
+from stocharray.core import Array3, PolytopeSpec, is_member, to_json_dict, uniform_array
 from stocharray.designs import LatinSquare, is_hamiltonian, random_latin
 from stocharray.linalg import Elimination
 from stocharray.omega_build import construct_vertex
+from stocharray.sample import run_experiment
 from stocharray.sigma_build import construct_sigma_vertex
 
 HALF = Fraction(1, 2)
@@ -317,8 +321,9 @@ def test_enumerate_guards():
 
 def test_certificate_validation():
     VertexCertificate(True, "rank")
-    with pytest.raises(ValueError):
-        VertexCertificate(True, "simplex")
+    for method in ("simplex", "enumeration"):
+        with pytest.raises(ValueError):
+            VertexCertificate(True, method)
     with pytest.raises(ValueError):
         VertexCertificate(True, "rank", witness=(1, 2))
     with pytest.raises(ValueError):
@@ -332,6 +337,24 @@ def latin_midpoint(t=4, seed=0):
     L1 = random_latin(t, seed)
     L2 = random_latin_discordant(L1, seed + 50)
     return (latin_to_array(L1) + latin_to_array(L2)).scale(HALF), PolytopeSpec("omega", t, 2)
+
+
+def sigma_midpoint():
+    A = tuple_to_array([(0, 1), (0, 1)]) + tuple_to_array([(1, 0), (0, 1)])
+    return A.scale(HALF), PolytopeSpec("sigma", 2, 2)
+
+
+def fresh(X):
+    """X rebuilt from new Fraction objects, so no entry is one of another array's."""
+    return Array3(X.n, X.d, [Fraction(v.numerator, v.denominator) for v in X.entries])
+
+
+def nudge(A, steps):
+    """A plus steps[i] at each flat index i; every other entry is A's own object."""
+    entries = list(A.entries)
+    for i, step in steps.items():
+        entries[i] += step
+    return Array3(A.n, A.d, entries)
 
 
 def test_wrong_kernel_vector_is_caught(monkeypatch):
@@ -378,6 +401,93 @@ def test_witness_outside_or_off_centre_is_caught(monkeypatch):
     )
     with pytest.raises(CertificateError, match="midpoint"):
         half_integral_certificate(A, spec)
+
+
+def test_witness_shifted_outside_the_kernel_is_caught(monkeypatch):
+    A, spec = latin_midpoint()
+    cell = A.entries.index(HALF)
+    # X and Y stay nonnegative and average to A, but one group sum moves by 1/8
+    monkeypatch.setattr(
+        certify, "_shift", lambda A, delta, sign: nudge(A, {cell: sign * Fraction(1, 8)})
+    )
+    with pytest.raises(CertificateError, match="left the polytope"):
+        is_vertex_rank(A, spec)
+    with pytest.raises(CertificateError, match="left the polytope"):
+        half_integral_certificate(A, spec)
+
+
+def test_witness_of_fresh_fractions_gets_the_same_verdict(monkeypatch):
+    cases = [latin_midpoint(), sigma_midpoint()]
+    expected = [(is_vertex_rank(A, spec), half_integral_certificate(A, spec)) for A, spec in cases]
+    real = certify._shift
+    monkeypatch.setattr(certify, "_shift", lambda A, delta, sign: fresh(real(A, delta, sign)))
+    got = [(is_vertex_rank(A, spec), half_integral_certificate(A, spec)) for A, spec in cases]
+    assert got == expected
+
+
+def witness_cases():
+    """(A, spec, X, Y) claims: valid witnesses of both certificates and both
+    families, and tampered ones that the check must refuse."""
+    cases = []
+    for A, spec in (latin_midpoint(), sigma_midpoint()):
+        for cert in (is_vertex_rank(A, spec), half_integral_certificate(A, spec)):
+            X, Y = cert.witness
+            delta = {i: x - a for i, (a, x) in enumerate(zip(A.entries, X.entries)) if x != a}
+            half = A.entries.index(HALF)
+            pairs = [
+                (X, Y), (Y, X), (fresh(X), fresh(Y)), (fresh(X), Y),
+                (A, A), (X, X), (fresh(A), A),
+                (nudge(A, {i: 3 * v for i, v in delta.items()}),
+                 nudge(A, {i: -3 * v for i, v in delta.items()})),
+                (X, A), (A, Y), (X, nudge(A, {i: -2 * v for i, v in delta.items()})),
+                (nudge(A, {half: Fraction(1, 8)}), nudge(A, {half: Fraction(-1, 8)})),
+                (nudge(X, {half: Fraction(1, 8)}), Y),
+            ]
+            cases += [(A, spec, X, Y) for X, Y in pairs]
+    return cases
+
+
+def witness_fault(A, spec, X, Y):
+    try:
+        certify._check_witness(A, spec, X, Y)
+    except CertificateError as exc:
+        return next(f for f in ("coincide", "left the polytope", "midpoint") if f in str(exc))
+    return None
+
+
+def test_witness_check_agrees_with_the_dense_oracle():
+    faults = []
+    for A, spec, X, Y in witness_cases():
+        fault = witness_fault(A, spec, X, Y)
+        assert fault == oracle_witness_fault(
+            spec.kind, spec.n, spec.d, A.entries, X.entries, Y.entries
+        )
+        faults.append(fault)
+    assert set(faults) == {None, "coincide", "left the polytope", "midpoint"}
+
+
+def test_witness_check_runs_under_optimize_flag():
+    A, spec = latin_midpoint()
+    half = A.entries.index(HALF)
+    X, Y = nudge(A, {half: Fraction(1, 8)}), nudge(A, {half: Fraction(-1, 8)})
+    script = (
+        "from fractions import Fraction\n"
+        "from stocharray import certify\n"
+        "from stocharray.core import Array3, PolytopeSpec\n"
+        f"A = Array3({A.n}, {A.d}, [Fraction(v) for v in {[str(v) for v in A.entries]!r}])\n"
+        f"steps = {{{half}: Fraction(1, 8)}}\n"
+        "X, Y = certify._shift(A, steps, 1), certify._shift(A, steps, -1)\n"
+        f"certify._check_witness(A, PolytopeSpec('omega', {A.n}, {A.d}), X, Y)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(certify.__file__).parent.parent))
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 1
+    assert "CertificateError: witness left the polytope" in proc.stderr
+    assert oracle_witness_fault(
+        spec.kind, spec.n, spec.d, A.entries, X.entries, Y.entries
+    ) == "left the polytope"
 
 
 def test_builders_check_the_graph_shape(monkeypatch):
@@ -439,3 +549,24 @@ def test_each_construction_tests_membership_and_hamiltonicity_once(monkeypatch, 
     assert main(["designs", "double-latin", "--n", "10", "--seed", "1"]) == 0
     assert json.loads(capsys.readouterr().out)["hamiltonian"] is True
     assert (len(member_calls), len(hamiltonian_calls)) == (2, 2)
+
+
+def test_verify_and_sample_test_membership_once(monkeypatch, capsys, tmp_path):
+    member_calls = count_calls(monkeypatch, is_member)
+    A, spec = latin_midpoint()
+    midpoint = tmp_path / "midpoint.json"
+    midpoint.write_text(json.dumps(to_json_dict(spec, A)), encoding="utf-8")
+    uniform = tmp_path / "uniform.json"
+    flat = PolytopeSpec("omega", 3, 1)
+    uniform.write_text(json.dumps(to_json_dict(flat, uniform_array(flat))), encoding="utf-8")
+    vertex = GOLDENS / "omega-3x3x3.json"
+    # a vertex, a non-vertex with both witnesses, and a rank-only non-vertex
+    for path, is_vertex in ((vertex, True), (midpoint, False), (uniform, False)):
+        before = len(member_calls)
+        assert main(["verify", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out)["is_vertex"] is is_vertex
+        assert len(member_calls) == before + 1
+    before = len(member_calls)
+    report = run_experiment(PolytopeSpec("omega", 3, 2), 10)
+    assert report.aggregate["graph_checked"] == 10
+    assert len(member_calls) == before + 10

@@ -14,7 +14,7 @@ from fixtures import latin_to_array
 from stocharray import __version__, certify
 from stocharray.bounds import MAX_REPORT_ORDER
 from stocharray.cli import main
-from stocharray.core import HALF, PolytopeSpec, to_json_dict, uniform_array
+from stocharray.core import HALF, MAX_ARRAY_CELLS, PolytopeSpec, to_json_dict, uniform_array
 from stocharray.designs import MAX_LATIN_ORDER, random_latin
 from stocharray.sample import MAX_TRIALS
 from stocharray.sigma_build import MAX_SIGMA_ORDER
@@ -194,6 +194,26 @@ def test_verify_invalid_document(capsys, tmp_path):
     )
     code, _, err = run(capsys, "verify", str(path))
     assert code == 2 and "integers" in err
+
+
+def test_verify_refuses_arrays_above_the_cell_cap(capsys, tmp_path):
+    """A declared n^(d+1) above MAX_ARRAY_CELLS exits 2 before any entry is
+    decoded; exactly the cap, the largest sigma construct, is decoded."""
+    path = tmp_path / "zeros.json"
+    row = "[" + ",".join(["0"] * 120) + "]"
+    plane = "[" + ",".join([row] * 120) + "]"
+    entries = "[" + ",".join([plane] * 120) + "]"
+    path.write_text(f'{{"kind": "sigma", "n": 120, "d": 2, "entries": {entries}}}')
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "") and f"capped at {MAX_ARRAY_CELLS} cells" in err
+    path.write_text(json.dumps({"kind": "omega", "n": 10**9, "d": 10**9, "entries": [[0]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "") and f"capped at {MAX_ARRAY_CELLS} cells" in err
+    assert time.perf_counter() - start < 5
+    path.write_text(json.dumps({"kind": "sigma", "n": 100, "d": 2, "entries": [[0]]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert (code, out) == (2, "") and "shape disagrees" in err
 
 
 def test_deeply_nested_input_is_an_input_failure(capsys, tmp_path):
@@ -581,11 +601,16 @@ def test_latin_cube_enumerate_prints_the_committed_golden_bytes(capsys):
     assert out == LATIN_CUBE_ENUMERATE_GOLDEN.read_text(encoding="utf-8")
 
 
-def test_golden_bytes_hold_under_optimize_flag():
+def test_golden_bytes_hold_under_optimize_flag(tmp_path):
     """With asserts stripped (python -O) the checks still run and the bytes match:
     the builders' certificates for construct, the rank re-check for enumerate,
-    the start-basis checks and the optimum checks for sample."""
+    the start-basis checks and the optimum checks for sample, the kernel and
+    witness checks for verify."""
+    A = (latin_to_array(random_latin(10, 1)) + latin_to_array(random_latin(10, 2))).scale(HALF)
+    midpoint = tmp_path / "midpoint.json"
+    midpoint.write_text(json.dumps(to_json_dict(PolytopeSpec("omega", 10, 2), A)))
     for argv, golden in (
+        (("verify", str(midpoint)), WITNESS_GOLDEN),
         (("construct", "omega", "--n", "10", "--seed", "1"), GOLDENS / "omega-n10-seed1.json"),
         (("construct", "sigma", "--n", "8", "--seed", "2"), SIGMA_CONSTRUCT_GOLDEN),
         (ENUMERATE_ARGV, ENUMERATE_GOLDEN),
