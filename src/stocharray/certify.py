@@ -381,5 +381,5 @@ def enumerate_vertices(spec: PolytopeSpec) -> list:
     for A in found:
         if not is_vertex_rank(A, spec).is_vertex:
             raise CertificateError("enumerated point failed the rank criterion")
-    found.sort(key=lambda a: a.support())
+    found.sort(key=lambda a: a.support_indices())
     return found

@@ -16,6 +16,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _string
 
 from stocharray import __version__
 from stocharray.bounds import construction_count_report, permanent
@@ -43,7 +44,31 @@ import random
 
 
 def _render(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Exactly ``json.dumps(payload, sort_keys=True, indent=2) + "\\n"``."""
+    return _dumps(payload, "\n") + "\n"
+
+
+def _dumps(x, newline: str) -> str:
+    """``json.dumps(x, sort_keys=True, indent=2)`` with ``newline`` for each line break.
+
+    The json module encodes in pure Python when it indents, a call per value;
+    here each non-empty list or str-keyed dict is one join, and a list's
+    ints and strings are encoded in place.  Any other value, empty
+    containers included, goes to json.dumps, whose line breaks are re-indented
+    (a JSON string holds no raw line break).
+    """
+    inner = newline + "  "
+    if type(x) is list and x:
+        items = [
+            str(v) if type(v) is int else _string(v) if type(v) is str else _dumps(v, inner)
+            for v in x
+        ]
+    elif type(x) is dict and x and all(type(k) is str for k in x):
+        items = [f"{_string(k)}: {_dumps(v, inner)}" for k, v in sorted(x.items())]
+    else:
+        return json.dumps(x, sort_keys=True, indent=2).replace("\n", newline)
+    brackets = "[]" if type(x) is list else "{}"
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def _emit(payload: dict) -> None:
@@ -164,7 +189,7 @@ def _construct_one(family: str, n: int, seed: int) -> dict:
         spec = PolytopeSpec("sigma", n, 2)
     doc = to_json_dict(spec, A)
     doc["meta"] = _meta(f"construct {family}", seed=seed, n=n)
-    doc["support"] = len(A.support())
+    doc["support"] = len(A.support_indices())
     doc["certificate"] = _certificate_json(spec, cert)
     return doc
 

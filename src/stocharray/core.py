@@ -69,17 +69,20 @@ class PolytopeSpec:
 class Array3:
     """Immutable dense (d+1)-way array of exact rationals with side n."""
 
-    __slots__ = ("n", "d", "_entries")
+    __slots__ = ("n", "d", "_entries", "_support")
 
     def __init__(self, n: int, d: int, entries: Sequence):
         if n < 1 or d < 1:
             raise ValueError("need n >= 1 and d >= 1")
-        flat = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in entries)
+        flat = tuple(entries)
+        if not {Fraction}.issuperset(map(type, flat)):
+            flat = tuple(v if isinstance(v, Fraction) else Fraction(v) for v in flat)
         if len(flat) != n ** (d + 1):
             raise ValueError(f"expected {n ** (d + 1)} entries, got {len(flat)}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "_entries", flat)
+        object.__setattr__(self, "_support", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Array3 is immutable")
@@ -90,33 +93,6 @@ class Array3:
         flat = [Fraction(0)] * n ** (d + 1)
         for cell, v in values.items():
             flat[flat_index(n, d, cell)] = Fraction(v)
-        return cls(n, d, flat)
-
-    @classmethod
-    def from_nested(cls, nested) -> "Array3":
-        """Build from nested lists, nested[i0][i1]...[id]; shape must be a cube."""
-        shape = []
-        probe = nested
-        while isinstance(probe, (list, tuple)):
-            shape.append(len(probe))
-            if not probe:
-                raise ValueError("empty axis in nested entries")
-            probe = probe[0]
-        if len(shape) < 2 or any(s != shape[0] for s in shape):
-            raise ValueError(f"nested entries must form an n^(d+1) cube, got shape {shape}")
-        n, d = shape[0], len(shape) - 1
-        flat = []
-
-        def walk(x, depth):
-            if depth == len(shape):
-                flat.append(x)
-                return
-            if not isinstance(x, (list, tuple)) or len(x) != n:
-                raise ValueError("ragged nested entries")
-            for y in x:
-                walk(y, depth + 1)
-
-        walk(nested, 0)
         return cls(n, d, flat)
 
     def index(self, cell: Cell) -> int:
@@ -134,17 +110,18 @@ class Array3:
 
     def support(self) -> list:
         """Cells with nonzero entry, in lexicographic order."""
-        return list(itertools.compress(self.cells(), self._entries))
+        weights = [self.n**a for a in range(self.d, -1, -1)]
+        return [tuple(i // w % self.n for w in weights) for i in self.support_indices()]
 
     def support_indices(self) -> list:
-        """Flat indices of the nonzero entries, in increasing order."""
-        return list(itertools.compress(range(len(self._entries)), self._entries))
+        """Flat indices of the nonzero entries, in increasing order.
 
-    def nested(self) -> list:
-        out = list(self._entries)
-        for _ in range(self.d):
-            out = [out[i : i + self.n] for i in range(0, len(out), self.n)]
-        return out
+        The entries are scanned once per array; later calls copy the result.
+        """
+        if self._support is None:
+            found = tuple(itertools.compress(range(len(self._entries)), self._entries))
+            object.__setattr__(self, "_support", found)
+        return list(self._support)
 
     def __eq__(self, other):
         return (
@@ -156,22 +133,6 @@ class Array3:
 
     def __hash__(self):
         return hash((self.n, self.d, self._entries))
-
-    def __add__(self, other: "Array3") -> "Array3":
-        self._check_same_shape(other)
-        return Array3(self.n, self.d, [a + b for a, b in zip(self._entries, other._entries)])
-
-    def __sub__(self, other: "Array3") -> "Array3":
-        self._check_same_shape(other)
-        return Array3(self.n, self.d, [a - b for a, b in zip(self._entries, other._entries)])
-
-    def scale(self, factor) -> "Array3":
-        f = Fraction(factor)
-        return Array3(self.n, self.d, [f * a for a in self._entries])
-
-    def _check_same_shape(self, other):
-        if not isinstance(other, Array3) or self.n != other.n or self.d != other.d:
-            raise ValueError("shape mismatch")
 
     def __repr__(self):
         return f"Array3(n={self.n}, d={self.d})"
@@ -201,16 +162,17 @@ def cell_groups(spec: PolytopeSpec) -> tuple:
     """
     n, d = spec.n, spec.d
     ids = list(range(spec.group_count))  # one int object per id, shared by its cells
-    omega = spec.kind == "omega"
-    out = []
-    for i in range(spec.total_cells):
-        groups = []
-        for a in range(d + 1):
-            w = n ** (d - a)  # weight of coordinate a in the flat index
-            g = a * n**d + i // (w * n) * w + i % w if omega else a * n + i // w % n
-            groups.append(ids[g])
-        out.append(tuple(groups))
-    return tuple(out)
+    columns = []  # per axis a, the id of the group through each cell
+    for a in range(d + 1):
+        w = n ** (d - a)  # weight of coordinate a in the flat index
+        if spec.kind == "omega":
+            # the line skips coordinate a: each block of w ids repeats n times
+            first = a * n**d
+            blocks = range(first, first + n**a * w, w)
+            columns.append([g for h in blocks for _ in range(n) for g in ids[h : h + w]])
+        else:
+            columns.append([ids[a * n + v] for v in range(n) for _ in range(w)] * n**a)
+    return tuple(zip(*columns))
 
 
 def group_rows(spec: PolytopeSpec) -> list:
@@ -282,20 +244,20 @@ def to_json_dict(spec: PolytopeSpec, A: Array3) -> dict:
     """Interchange dict: {"kind", "n", "d", "entries"} with exact entries."""
     if A.n != spec.n or A.d != spec.d:
         raise ValueError("array shape does not match spec")
-
-    def encode(x):
-        if isinstance(x, list):
-            return [encode(y) for y in x]
-        return fraction_to_json(x)
-
-    return {"kind": spec.kind, "n": spec.n, "d": spec.d, "entries": encode(A.nested())}
+    # fraction_to_json of each entry, inlined: a call per cell doubles the cost
+    out = [v.numerator if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
+           for v in A.entries]
+    for _ in range(A.d):
+        out = [out[i : i + A.n] for i in range(0, len(out), A.n)]
+    return {"kind": spec.kind, "n": spec.n, "d": spec.d, "entries": out}
 
 
 def from_json_dict(obj: Mapping) -> tuple:
     """Parse an interchange dict; returns (PolytopeSpec, Array3).
 
     A declared n^(d+1) above `MAX_ARRAY_CELLS` is refused before any entry
-    is decoded.
+    is decoded.  The entries must nest as d + 1 levels of n-long lists; each
+    distinct entry token is decoded once.
     """
     try:
         kind, n, d, entries = obj["kind"], obj["n"], obj["d"], obj["entries"]
@@ -310,16 +272,16 @@ def from_json_dict(obj: Mapping) -> tuple:
         raise ValueError(
             f"arrays are capped at {MAX_ARRAY_CELLS} cells; n={n}, d={d} declares more"
         )
-
-    def decode(x):
-        if isinstance(x, list):
-            return [decode(y) for y in x]
-        return fraction_from_json(x)
-
-    try:
-        A = Array3.from_nested(decode(entries))
-    except RecursionError:
-        raise ValueError("entries nest too deeply") from None
-    if A.n != n or A.d != d:
-        raise ValueError("entries shape disagrees with declared n, d")
-    return spec, A
+    level = [entries]
+    for _ in range(d + 1):
+        if not all(isinstance(x, list) and len(x) == n for x in level):
+            raise ValueError("entries shape disagrees with declared n, d")
+        level = list(itertools.chain.from_iterable(level))
+    # only exact ints and strings share a decoding: True, 1 and 1.0 are equal
+    # keys, so a bool or float must never look up an int's entry
+    if {int, str}.issuperset(map(type, level)):
+        decoded = {x: fraction_from_json(x) for x in set(level)}
+        return spec, Array3(n, d, map(decoded.__getitem__, level))
+    if any(isinstance(x, list) for x in level):
+        raise ValueError("entries nest too deeply: a list where an entry belongs")
+    return spec, Array3(n, d, [fraction_from_json(x) for x in level])

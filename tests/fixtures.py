@@ -1,13 +1,14 @@
-"""Package objects built for tests: arrays encoding designs, complete
-bipartite graphs, a Latin square discordant with a given one, and the
-committed known vertices."""
+"""Package objects built for tests: arrays encoding designs, linear
+combinations of arrays, complete bipartite graphs, a Latin square
+discordant with a given one, and the committed known vertices."""
 
 import itertools
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
-from stocharray.core import Array3, from_json_dict
+from stocharray.core import HALF, Array3, from_json_dict
 from stocharray.designs import BipartiteGraph, LatinSquare
 
 GOLDENS = Path(__file__).resolve().parent.parent / "goldens"
@@ -30,6 +31,20 @@ def tuple_to_array(perms) -> Array3:
     n = len(perms[0])
     cells = {(i,) + tuple(p[i] for p in perms): 1 for i in range(n)}
     return Array3.from_cells(n, len(perms), cells)
+
+
+def combine(*terms) -> Array3:
+    """The array sum of w * A over the (w, A) pairs given; all share one shape."""
+    weights = [Fraction(w) for w, _ in terms]
+    arrays = [A for _, A in terms]
+    n, d = arrays[0].n, arrays[0].d
+    assert all((A.n, A.d) == (n, d) for A in arrays), "shape mismatch"
+    columns = zip(*(A.entries for A in arrays))
+    return Array3(n, d, [sum(w * v for w, v in zip(weights, col)) for col in columns])
+
+
+def midpoint(X: Array3, Y: Array3) -> Array3:
+    return combine((HALF, X), (HALF, Y))
 
 
 def complete_bipartite(n: int) -> BipartiteGraph:

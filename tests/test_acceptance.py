@@ -13,7 +13,7 @@ import time
 from contextlib import redirect_stdout
 from fractions import Fraction
 
-from fixtures import complete_bipartite, golden_array
+from fixtures import complete_bipartite, golden_array, midpoint
 from oracles import (
     oracle_bregman_holds,
     oracle_count_latin,
@@ -91,7 +91,7 @@ def test_criterion_01():
         X, Y = cert.witness
         assert X != Y
         assert is_member(X, cube_spec) and is_member(Y, cube_spec)
-        assert (X + Y).scale(HALF) == cube
+        assert midpoint(X, Y) == cube
 
 
 @criterion(2, 10.0, "small assignment polytopes enumerate to exactly the n! matrices")

@@ -11,7 +11,14 @@ from pathlib import Path
 
 import pytest
 
-from fixtures import GOLDENS, golden_array, latin_to_array, random_latin_discordant, tuple_to_array
+from fixtures import (
+    GOLDENS,
+    golden_array,
+    latin_to_array,
+    midpoint,
+    random_latin_discordant,
+    tuple_to_array,
+)
 from oracles import oracle_latin_squares, oracle_vertices, oracle_witness_fault
 from stocharray import certify
 from stocharray.certify import (
@@ -42,7 +49,7 @@ def assert_valid_witness(cert, A, spec):
     X, Y = cert.witness
     assert X != Y
     assert is_member(X, spec) and is_member(Y, spec)
-    assert (X + Y).scale(HALF) == A
+    assert midpoint(X, Y) == A
 
 
 def all_half_array(n, d):
@@ -147,7 +154,7 @@ def test_latin_mixtures_are_rejected_with_witnesses():
         for seed in range(6):
             L1 = random_latin(t, seed)
             L2 = random_latin_discordant(L1, seed + 50)
-            A = (latin_to_array(L1) + latin_to_array(L2)).scale(HALF)
+            A = midpoint(latin_to_array(L1), latin_to_array(L2))
             rank_cert = is_vertex_rank(A, spec)
             assert_valid_witness(rank_cert, A, spec)
             graph_cert = half_integral_certificate(A, spec)
@@ -336,12 +343,12 @@ def test_certificate_validation():
 def latin_midpoint(t=4, seed=0):
     L1 = random_latin(t, seed)
     L2 = random_latin_discordant(L1, seed + 50)
-    return (latin_to_array(L1) + latin_to_array(L2)).scale(HALF), PolytopeSpec("omega", t, 2)
+    return midpoint(latin_to_array(L1), latin_to_array(L2)), PolytopeSpec("omega", t, 2)
 
 
 def sigma_midpoint():
-    A = tuple_to_array([(0, 1), (0, 1)]) + tuple_to_array([(1, 0), (0, 1)])
-    return A.scale(HALF), PolytopeSpec("sigma", 2, 2)
+    A = midpoint(tuple_to_array([(0, 1), (0, 1)]), tuple_to_array([(1, 0), (0, 1)]))
+    return A, PolytopeSpec("sigma", 2, 2)
 
 
 def fresh(X):

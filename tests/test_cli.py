@@ -1,20 +1,33 @@
 """End-to-end command-line behavior via in-process dispatch."""
 
+import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fixtures import latin_to_array
+from fixtures import combine, latin_to_array, midpoint, tuple_to_array
 from stocharray import __version__, certify
 from stocharray.bounds import MAX_REPORT_ORDER
-from stocharray.cli import main
-from stocharray.core import HALF, MAX_ARRAY_CELLS, PolytopeSpec, to_json_dict, uniform_array
+from stocharray.cli import _render, main
+from stocharray.core import (
+    MAX_ARRAY_CELLS,
+    PolytopeSpec,
+    from_json_dict,
+    is_member,
+    to_json_dict,
+    uniform_array,
+)
 from stocharray.designs import MAX_LATIN_ORDER, random_latin
 from stocharray.sample import MAX_TRIALS
 from stocharray.sigma_build import MAX_SIGMA_ORDER
@@ -33,16 +46,18 @@ PERMANENT_MATRIX = GOLDENS / "permanent-order8-matrix.json"
 PERMANENT_GOLDEN = GOLDENS / "permanent-order8.json"
 ENUMERATE_GOLDEN = GOLDENS / "enumerate-omega-n4-d1.json"
 LATIN_CUBE_ENUMERATE_GOLDEN = GOLDENS / "enumerate-omega-n3-d2.json"
+FOUR_AXIS_ENUMERATE_GOLDEN = GOLDENS / "enumerate-sigma-n2-d3.json"
 LATIN_GOLDEN = GOLDENS / "designs-latin-order9-seed5.json"
 SIGMA_CONSTRUCT_GOLDEN = GOLDENS / "sigma-n8-seed2.json"
 # committed command outputs and inputs that are not arrays
 NON_ARRAY_GOLDENS = (
     SAMPLE_GOLDEN, SIGMA_SAMPLE_GOLDEN, DEEP_SAMPLE_GOLDEN, FLAT_SAMPLE_GOLDEN, WITNESS_GOLDEN,
     REPORT_GOLDEN, PERMANENT_MATRIX, PERMANENT_GOLDEN, ENUMERATE_GOLDEN,
-    LATIN_CUBE_ENUMERATE_GOLDEN, LATIN_GOLDEN,
+    LATIN_CUBE_ENUMERATE_GOLDEN, FOUR_AXIS_ENUMERATE_GOLDEN, LATIN_GOLDEN,
 )
 ENUMERATE_ARGV = ("enumerate", "--kind", "omega", "--n", "4", "--d", "1")
 LATIN_CUBE_ENUMERATE_ARGV = ("enumerate", "--kind", "omega", "--n", "3", "--d", "2")
+FOUR_AXIS_ENUMERATE_ARGV = ("enumerate", "--kind", "sigma", "--n", "2", "--d", "3")
 SAMPLE_ARGV = ("sample", "--kind", "omega", "--n", "4", "--d", "2", "--trials", "5", "--seed", "7")
 SIGMA_SAMPLE_ARGV = ("sample", "--kind", "sigma", *SAMPLE_ARGV[3:])
 DEEP_SAMPLE_ARGV = ("sample", "--kind", "omega", "--n", "3", "--d", "3", "--trials", "3", "--seed", "11")
@@ -223,6 +238,120 @@ def test_deeply_nested_input_is_an_input_failure(capsys, tmp_path):
     assert code == 3 and "nests too deeply" in err
     code, _, err = run(capsys, "bounds", "permanent", str(path))
     assert code == 3 and "nests too deeply" in err
+
+
+# refusals of one entry token, each placed after the int it equals (or
+# after 1) has been decoded, so a decoding shared by equal raw values fails
+BAD_ENTRY_TOKENS = (True, False, 1.0, 0.0, None, "1/0", [1], {"1": 1})
+
+
+def bad_entry_documents():
+    """(why, document): an omega n=2 d=2 array with one bad cell or shape."""
+    good = [[[1, 0], [0, 1]], [[0, 1], [1, 0]]]
+    for token in BAD_ENTRY_TOKENS:
+        entries = json.loads(json.dumps(good))
+        entries[1][1][1] = token  # the last cell: a 1 and a 0 are decoded before it
+        yield f"token {token!r}", entries
+    deep = 1
+    for _ in range(50):
+        deep = [deep]
+    for cell in itertools.product(range(2), repeat=3):
+        entries = json.loads(json.dumps(good))
+        i, j, k = cell
+        entries[i][j][k] = deep
+        yield f"deep nesting at {cell}", entries
+    yield "ragged row", [[[1, 0], [0, 1]], [[0, 1], [1]]]
+    yield "ragged plane", [[[1, 0], [0, 1]], [[0, 1]]]
+    yield "too few axes", [[1, 0], [0, 1]]
+    yield "a number for a row", [[[1, 0], 1], [[0, 1], [1, 0]]]
+
+
+def test_bad_entries_exit_two(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    for why, entries in bad_entry_documents():
+        doc = {"kind": "omega", "n": 2, "d": 2, "entries": entries}
+        with pytest.raises(ValueError):
+            from_json_dict(doc)
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert (code, out) == (2, ""), why
+        assert "invalid parameters" in err, why
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**100, -(10**100), 2**63, -(2**63) - 1]),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([-0.0, 0.0, 1e308, -1e308, 5e-324, float("nan"), float("inf"), float("-inf")]),
+    st.text(),
+    st.sampled_from(["", "é", "\u2028", "\ud800", '"', "\\", "\n\t\x00", "1/2", "日本"]),
+)
+JSON_KEYS = st.one_of(st.text(), st.sampled_from(["", '"q"', "\\", "\n", "é", "\ud83d", "a b"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.one_of(
+        st.lists(children, max_size=6),
+        st.lists(st.one_of(st.integers(), st.text()), max_size=8),
+        st.dictionaries(JSON_KEYS, children, max_size=6),
+        st.dictionaries(st.integers(), children, max_size=3),
+    ),
+    max_leaves=40,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(JSON_VALUES)
+def test_render_is_json_dumps(value):
+    assert _render(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@st.composite
+def design_mixtures(draw):
+    """A convex combination of 2-3 seeded Latin squares (omega) or permutation
+    tuples (sigma) of order 3-6, with weights 1-4."""
+    kind = draw(st.sampled_from(["omega", "sigma"]))
+    n = draw(st.integers(3, 6))
+    terms = []
+    for _ in range(draw(st.integers(2, 3))):
+        if kind == "omega":
+            design = latin_to_array(random_latin(n, draw(st.integers(0, 10**6))))
+        else:
+            perms = st.permutations(range(n))
+            design = tuple_to_array([draw(perms), draw(perms)])
+        terms.append((draw(st.integers(1, 4)), design))
+    total = sum(w for w, _ in terms)
+    return PolytopeSpec(kind, n, 2), combine(*((Fraction(w, total), A) for w, A in terms))
+
+
+@settings(max_examples=80, deadline=None)
+@given(design_mixtures())
+def test_verify_of_design_mixtures(case):
+    """verify's stdout on mixtures: the graph and rank verdicts agree where
+    both run, each witness averages back to the input, and the input
+    survives the JSON round trip."""
+    spec, A = case
+    text = json.dumps(to_json_dict(spec, A))
+    assert from_json_dict(json.loads(text)) == (spec, A)
+    out = io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(text)), contextlib.redirect_stdout(out):
+        code = main(["verify", "-"])
+    assert code == 0
+    payload = json.loads(out.getvalue())
+    assert payload["member"] is True
+    verdicts = [m["is_vertex"] for m in payload["methods"].values() if "is_vertex" in m]
+    assert verdicts and set(verdicts) == {payload["is_vertex"]}
+    half_integral = set(A.entries) <= {0, Fraction(1, 2), 1}
+    assert ("is_vertex" in payload["methods"]["graph"]) == half_integral
+    for method in payload["methods"].values():
+        if "witness" in method:
+            X, Y = (
+                from_json_dict({"kind": spec.kind, "n": spec.n, "d": spec.d, "entries": e})[1]
+                for e in (method["witness"]["x"], method["witness"]["y"])
+            )
+            assert X != Y and is_member(X, spec) and is_member(Y, spec)
+            assert midpoint(X, Y) == A
 
 
 # ─── enumerate ───────────────────────────────────────────────────────────────
@@ -571,7 +700,7 @@ def test_sigma_d1_sample_prints_the_committed_golden_bytes(capsys):
 
 def test_verify_prints_the_committed_witness_bytes(capsys, tmp_path):
     """A non-vertex: the midpoint of two seeded Latin squares of order 10."""
-    A = (latin_to_array(random_latin(10, 1)) + latin_to_array(random_latin(10, 2))).scale(HALF)
+    A = midpoint(latin_to_array(random_latin(10, 1)), latin_to_array(random_latin(10, 2)))
     path = tmp_path / "midpoint.json"
     path.write_text(json.dumps(to_json_dict(PolytopeSpec("omega", 10, 2), A)))
     code, out, _ = run(capsys, "verify", str(path))
@@ -601,20 +730,28 @@ def test_latin_cube_enumerate_prints_the_committed_golden_bytes(capsys):
     assert out == LATIN_CUBE_ENUMERATE_GOLDEN.read_text(encoding="utf-8")
 
 
+def test_four_axis_enumerate_prints_the_committed_golden_bytes(capsys):
+    """sigma n=2 d=3: 48 vertices, each printed four lists deep."""
+    _, out, _ = run(capsys, *FOUR_AXIS_ENUMERATE_ARGV)
+    assert out == FOUR_AXIS_ENUMERATE_GOLDEN.read_text(encoding="utf-8")
+    assert json.loads(out)["count"] == 48
+
+
 def test_golden_bytes_hold_under_optimize_flag(tmp_path):
     """With asserts stripped (python -O) the checks still run and the bytes match:
     the builders' certificates for construct, the rank re-check for enumerate,
     the start-basis checks and the optimum checks for sample, the kernel and
     witness checks for verify."""
-    A = (latin_to_array(random_latin(10, 1)) + latin_to_array(random_latin(10, 2))).scale(HALF)
-    midpoint = tmp_path / "midpoint.json"
-    midpoint.write_text(json.dumps(to_json_dict(PolytopeSpec("omega", 10, 2), A)))
+    A = midpoint(latin_to_array(random_latin(10, 1)), latin_to_array(random_latin(10, 2)))
+    path = tmp_path / "midpoint.json"
+    path.write_text(json.dumps(to_json_dict(PolytopeSpec("omega", 10, 2), A)))
     for argv, golden in (
-        (("verify", str(midpoint)), WITNESS_GOLDEN),
+        (("verify", str(path)), WITNESS_GOLDEN),
         (("construct", "omega", "--n", "10", "--seed", "1"), GOLDENS / "omega-n10-seed1.json"),
         (("construct", "sigma", "--n", "8", "--seed", "2"), SIGMA_CONSTRUCT_GOLDEN),
         (ENUMERATE_ARGV, ENUMERATE_GOLDEN),
         (LATIN_CUBE_ENUMERATE_ARGV, LATIN_CUBE_ENUMERATE_GOLDEN),
+        (FOUR_AXIS_ENUMERATE_ARGV, FOUR_AXIS_ENUMERATE_GOLDEN),
         (SAMPLE_ARGV, SAMPLE_GOLDEN),
         (SIGMA_SAMPLE_ARGV, SIGMA_SAMPLE_GOLDEN),
         (DEEP_SAMPLE_ARGV, DEEP_SAMPLE_GOLDEN),
@@ -626,7 +763,7 @@ def test_golden_bytes_hold_under_optimize_flag(tmp_path):
 
 
 def test_certificate_failure_exits_one(capsys, monkeypatch):
-    A = (latin_to_array(random_latin(4, 1)) + latin_to_array(random_latin(4, 2))).scale(HALF)
+    A = midpoint(latin_to_array(random_latin(4, 1)), latin_to_array(random_latin(4, 2)))
     text = json.dumps(to_json_dict(PolytopeSpec("omega", 4, 2), A))
     monkeypatch.setattr(sys, "stdin", io.StringIO(text))
     monkeypatch.setattr(certify, "_shift", lambda A, delta, sign: A)

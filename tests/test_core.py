@@ -1,6 +1,7 @@
 """Array container, constraint geometry, membership, and JSON interchange."""
 
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fixtures import golden_array, latin_to_array
+from fixtures import combine, golden_array, latin_to_array
 from oracles import oracle_groups, oracle_latin_squares
 from stocharray.certify import independent_groups
 from stocharray.core import (
@@ -61,25 +62,19 @@ def test_array_builders_roundtrip():
     values = {(0, 1, 1): HALF, (1, 0, 0): 1}
     A = Array3.from_cells(2, 2, values)
     assert A.support() == [(0, 1, 1), (1, 0, 0)]
-    B = Array3.from_nested(A.nested())
+    assert A.support_indices() == [3, 4]
+    B = from_json_dict(to_json_dict(PolytopeSpec("sigma", 2, 2), A))[1]
     assert A == B and hash(A) == hash(B)
     assert Array3(2, 2, [0] * 8).support() == []
-    with pytest.raises(ValueError):
-        Array3.from_nested([[1, 0], [0]])
-    with pytest.raises(ValueError):
-        Array3.from_nested([[[1, 0], [0, 1]], [[1, 0]]])
-    with pytest.raises(ValueError):
-        Array3.from_nested([1, 2, 3])
-
-
-def test_array_arithmetic():
-    A = Array3(2, 1, [1, 0, 0, 1])
-    B = Array3(2, 1, [0, 1, 1, 0])
-    assert (A + B).entries == (1, 1, 1, 1)
-    assert (A - A).entries == (0, 0, 0, 0)
-    assert A.scale(HALF)[(0, 0)] == HALF
-    with pytest.raises(ValueError):
-        A + Array3(3, 1, [0] * 9)
+    # ragged rows, and nestings that are no cube
+    for n, d, entries in (
+        (2, 1, [[1, 0], [0]]),
+        (2, 2, [[[1, 0], [0, 1]], [[1, 0]]]),
+        (3, 1, [1, 2, 3]),
+        (3, 2, [1, 2, 3]),
+    ):
+        with pytest.raises(ValueError, match="shape disagrees"):
+            from_json_dict({"kind": "omega", "n": n, "d": d, "entries": entries})
 
 
 def test_flat_index_is_row_major():
@@ -139,11 +134,9 @@ def test_is_member():
 
 def test_is_member_rejects_bad_sums_and_signs():
     # rows sum to 9/10 and 11/10 while columns still sum to 1
-    M = Array3.from_nested(
-        [[Fraction(2, 5), Fraction(1, 2)], [Fraction(3, 5), Fraction(1, 2)]]
-    )
+    M = Array3(2, 1, [Fraction(2, 5), Fraction(1, 2), Fraction(3, 5), Fraction(1, 2)])
     assert not is_member(M, PolytopeSpec("omega", 2, 1))
-    N = Array3.from_nested([[Fraction(3, 2), Fraction(-1, 2)], [Fraction(-1, 2), Fraction(3, 2)]])
+    N = Array3(2, 1, [Fraction(3, 2), Fraction(-1, 2), Fraction(-1, 2), Fraction(3, 2)])
     assert not is_member(N, PolytopeSpec("omega", 2, 1))
 
 
@@ -179,11 +172,10 @@ def near_members(draw):
         return Array3.from_cells(n, d, {(i,) + tuple(p[i] for p in ps): 1 for i in range(n)})
 
     weights = [Fraction(draw(st.integers(1, 4))) for _ in range(draw(st.integers(1, 3)))]
-    A = Array3(n, d, [0] * n ** (d + 1))
-    for w in weights:
-        A = A + zero_one().scale(w / sum(weights))
     t = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 4)))
-    A = A + (zero_one() - zero_one()).scale(t)
+    A = combine(
+        *((w / sum(weights), zero_one()) for w in weights), (t, zero_one()), (-t, zero_one())
+    )
     nudge = draw(st.sampled_from([0, 0, 1, -1, Fraction(1, n), Fraction(-1, 7)]))
     if nudge:
         i = draw(st.integers(0, n ** (d + 1) - 1))
@@ -291,6 +283,37 @@ def test_json_dict_errors():
         to_json_dict(PolytopeSpec("omega", 2, 1), Array3(3, 1, [0] * 9))
 
 
+@st.composite
+def exact_arrays(draw):
+    """Arrays of either kind, d = 1..3, n = 1..4, with zeros, negatives and
+    mixed denominators; not necessarily members."""
+    kind = draw(st.sampled_from(["omega", "sigma"]))
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 4))
+    values = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(max_denominator=60),
+        st.integers(-(10**30), 10**30).map(Fraction),
+    )
+    entries = draw(st.lists(values, min_size=n ** (d + 1), max_size=n ** (d + 1)))
+    return PolytopeSpec(kind, n, d), Array3(n, d, entries)
+
+
+@settings(max_examples=100, deadline=None)
+@given(exact_arrays())
+def test_json_text_roundtrip(case):
+    """Through json.dumps and json.loads and back; entries nest as
+    entries[i0][i1]...[id] in exact form."""
+    spec, A = case
+    doc = json.loads(json.dumps(to_json_dict(spec, A)))
+    for cell in A.cells():
+        leaf = doc["entries"]
+        for c in cell:
+            leaf = leaf[c]
+        assert leaf == fraction_to_json(A[cell])
+    assert from_json_dict(doc) == (spec, A)
+
+
 def test_known_vertices_shapes():
     A = OMEGA_VERTEX
     assert len(A.support()) == 17
@@ -308,8 +331,6 @@ def test_random_members_survive_json(tmp_path):
     for _ in range(5):
         weights = [Fraction(rng.randrange(1, 5)) for _ in squares]
         total = sum(weights)
-        mix = Array3(4, 2, [0] * 64)
-        for w, sq in zip(weights, squares):
-            mix = mix + sq.scale(w / total)
+        mix = combine(*((w / total, sq) for w, sq in zip(weights, squares)))
         assert is_member(mix, omega)
         assert from_json_dict(to_json_dict(omega, mix))[1] == mix
