@@ -327,12 +327,12 @@ def enumerate_vertices(spec: PolytopeSpec) -> list:
     and a negative ray only when adjacent.  Rays are primitive int lists
     with t last; zero sets are bitmasks over the constraints cut so far.
     """
-    N = spec.total_cells
-    if N > MAX_ENUMERATE_CELLS or spec.axes > MAX_ENUMERATE_CELLS:
+    if spec.cells_exceed(MAX_ENUMERATE_CELLS) or spec.axes > MAX_ENUMERATE_CELLS:
         raise ValueError(
-            f"instance has {N} cells and {spec.axes} axes; "
-            f"enumeration is capped at {MAX_ENUMERATE_CELLS} of each"
+            f"enumeration is capped at {MAX_ENUMERATE_CELLS} cells and as many axes; "
+            f"n={spec.n}, d={spec.d} has more"
         )
+    N = spec.total_cells
     columns = [dict.fromkeys(gs, 1) for gs in cell_groups(spec)]
     basis = SparseBasis()
     basis.add(dict.fromkeys(range(spec.group_count), -1))

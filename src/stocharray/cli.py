@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _string
@@ -92,13 +93,21 @@ def _meta(command: str, seed=None, **params) -> dict:
     return meta
 
 
+def integer(text: str) -> int:
+    """An integer in ASCII digits with an optional leading minus.  int() alone
+    also takes other scripts' digits, underscores, whitespace and a plus."""
+    if not re.fullmatch(r"-?[0-9]+", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _resolve_seed(flag_value) -> int:
     if flag_value is not None:
         return flag_value
     env = os.environ.get("SEED")
     if env is not None:
         try:
-            return int(env)
+            return integer(env)
         except ValueError:
             raise ValueError(f"SEED environment variable is not an integer: {env!r}")
     return 0
@@ -164,8 +173,8 @@ def _cmd_verify(argv) -> int:
 def _cmd_enumerate(argv) -> int:
     p = argparse.ArgumentParser(prog="stocharray enumerate")
     p.add_argument("--kind", choices=("omega", "sigma"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--d", type=integer, default=2)
     p.add_argument("-v", "--verbose", action="store_true")
     a = p.parse_args(argv)
     spec = PolytopeSpec(a.kind, a.n, a.d)
@@ -197,9 +206,9 @@ def _construct_one(family: str, n: int, seed: int) -> dict:
 def _cmd_construct(argv) -> int:
     p = argparse.ArgumentParser(prog="stocharray construct")
     p.add_argument("family", choices=("omega", "sigma"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--count", type=int, default=1, help="number of runs, seeds seed..seed+count-1")
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--seed", type=integer, default=None)
+    p.add_argument("--count", type=integer, default=1, help="number of runs, seeds seed..seed+count-1")
     p.add_argument("--out", help="directory to write one JSON file per run")
     p.add_argument("-v", "--verbose", action="store_true")
     a = p.parse_args(argv)
@@ -237,9 +246,9 @@ def _cmd_construct(argv) -> int:
 def _cmd_designs(argv) -> int:
     p = argparse.ArgumentParser(prog="stocharray designs")
     p.add_argument("what", choices=("latin", "double-latin"))
-    p.add_argument("--order", type=int, help="order of the Latin square")
-    p.add_argument("--n", type=int, help="order of the double Latin square (even)")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--order", type=integer, help="order of the Latin square")
+    p.add_argument("--n", type=integer, help="order of the double Latin square (even)")
+    p.add_argument("--seed", type=integer, default=None)
     p.add_argument("-v", "--verbose", action="store_true")
     a = p.parse_args(argv)
     seed = _resolve_seed(a.seed)
@@ -272,7 +281,7 @@ def _cmd_bounds(argv) -> int:
     p.add_argument("what", choices=("permanent", "report"))
     p.add_argument("file", nargs="?", default="-",
                    help="matrix JSON for 'permanent', ignored for 'report'")
-    p.add_argument("--n", type=int, help="order for 'report' (even)")
+    p.add_argument("--n", type=integer, help="order for 'report' (even)")
     p.add_argument("-v", "--verbose", action="store_true")
     a = p.parse_args(argv)
     if a.what == "permanent":
@@ -298,10 +307,10 @@ def _cmd_bounds(argv) -> int:
 def _cmd_sample(argv) -> int:
     p = argparse.ArgumentParser(prog="stocharray sample")
     p.add_argument("--kind", choices=("omega", "sigma"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--n", type=integer, required=True)
+    p.add_argument("--d", type=integer, default=2)
+    p.add_argument("--trials", type=integer, default=1)
+    p.add_argument("--seed", type=integer, default=None)
     p.add_argument("--out", help="also write the report JSON to this file")
     p.add_argument("-v", "--verbose", action="store_true")
     a = p.parse_args(argv)

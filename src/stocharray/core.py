@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,9 @@ HALF = Fraction(1, 2)
 MAX_ARRAY_CELLS = 10**6
 
 KINDS = ("omega", "sigma")
+
+# "p/q" in ASCII digits with q > 0 (\d would match other scripts' digits too)
+_RATIONAL = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
 
 Cell = tuple  # tuple[int, ...] of length d + 1
 
@@ -59,6 +63,11 @@ class PolytopeSpec:
     @property
     def total_cells(self) -> int:
         return self.n ** (self.d + 1)
+
+    def cells_exceed(self, cap: int) -> bool:
+        """Whether n^(d+1) > cap.  For n >= 2 the power passes the cap once
+        d + 1 reaches the cap's bit length, so a huge d is decided without it."""
+        return self.n > 1 and (self.axes >= cap.bit_length() or self.total_cells > cap)
 
     @property
     def group_count(self) -> int:
@@ -228,14 +237,18 @@ def fraction_to_json(v: Fraction):
 
 
 def fraction_from_json(v) -> Fraction:
+    """Decode an entry: an int, or a string exactly as `fraction_to_json`
+    writes it ("p/q" in ASCII digits, lowest terms, q >= 2)."""
     if isinstance(v, bool):
         raise ValueError(f"not a rational entry: {v!r}")
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        num, sep, den = v.partition("/")
-        if sep and num.lstrip("-").isdigit() and den.isdigit() and int(den) != 0:
-            return Fraction(int(num), int(den))
+        parts = _RATIONAL.fullmatch(v)
+        if parts:
+            x = Fraction(int(parts[1]), int(parts[2]))
+            if fraction_to_json(x) == v:
+                return x
         raise ValueError(f"malformed rational string: {v!r}")
     raise ValueError(f"entries must be int or 'p/q' strings, got {type(v).__name__}")
 
@@ -266,9 +279,7 @@ def from_json_dict(obj: Mapping) -> tuple:
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in (n, d)):
         raise ValueError("n and d must be integers")
     spec = PolytopeSpec(kind, n, d)
-    # for n >= 2, n^(d+1) passes the cap once d + 1 reaches the cap's bit
-    # length, so a huge declared d is refused without computing the power
-    if n > 1 and (d + 1 >= MAX_ARRAY_CELLS.bit_length() or n ** (d + 1) > MAX_ARRAY_CELLS):
+    if spec.cells_exceed(MAX_ARRAY_CELLS):
         raise ValueError(
             f"arrays are capped at {MAX_ARRAY_CELLS} cells; n={n}, d={d} declares more"
         )

@@ -351,7 +351,7 @@ class BipartiteGraph:
 
 
 def perfect_matching(G: BipartiteGraph, order=None) -> dict:
-    """A perfect matching as a left -> right dict (augmenting-path search).
+    """A perfect matching as a left -> right dict (Kuhn's augmenting paths).
 
     ``order`` optionally reorders left vertices and neighbor lists to
     diversify which matching is found.  Raises MatchingError when none
@@ -364,46 +364,23 @@ def perfect_matching(G: BipartiteGraph, order=None) -> dict:
     if order is not None:
         rng = random.Random(order)
         rng.shuffle(lefts)
-        adj = [row[:] for row in adj]
         for row in adj:
             rng.shuffle(row)
-    need = [1] * G.n_left
-    owners = _augment(adj, lefts, need, need)
-    if owners is None:
-        raise MatchingError("no perfect matching")
-    return {u: v for v, mates in owners.items() for u in mates}
+    mate: dict = {}  # right -> left
 
-
-def _augment(adj: list, lefts, need_l: list, need_r: list) -> dict | None:
-    """Edges of ``adj`` giving each left u exactly need_l[u] distinct partners
-    and each right v at most need_r[v], by augmenting paths; returns right ->
-    its left partners, or None when some left vertex cannot be served.
-
-    With every demand 1 this is Kuhn's algorithm."""
-    owners: dict = {}
-
-    def try_augment(u, seen):
+    def augment(u, seen) -> bool:
         for v in adj[u]:
-            if v in seen or u in owners.get(v, ()):
-                continue
-            seen.add(v)
-            mates = owners.setdefault(v, [])
-            if len(mates) < need_r[v]:
-                mates.append(u)
-                return True
-            for u2 in list(mates):
-                mates.remove(u2)
-                if try_augment(u2, seen):
-                    mates.append(u)
+            if v not in seen:
+                seen.add(v)
+                if v not in mate or augment(mate[v], seen):
+                    mate[v] = u
                     return True
-                mates.append(u2)
         return False
 
     for u in lefts:
-        for _ in range(need_l[u]):
-            if not try_augment(u, set()):
-                return None
-    return owners
+        if not augment(u, set()):
+            raise MatchingError("no perfect matching")
+    return {u: v for v, u in mate.items()}
 
 
 def extract_two_factor(G: BipartiteGraph, order=None) -> frozenset:
@@ -434,7 +411,7 @@ def extract_two_factor(G: BipartiteGraph, order=None) -> frozenset:
 
 
 def _path_endpoints(path_edges) -> tuple:
-    """Validate that 3 edges form a simple path; return (ends_l, ends_r, mids)."""
+    """Validate that 3 edges form a simple path; return (end_l, end_r, mid_l, mid_r)."""
     if len(path_edges) != 3:
         raise ValueError("path must consist of exactly 3 edges")
     count_l: dict = {}
@@ -452,15 +429,26 @@ def _path_endpoints(path_edges) -> tuple:
 
 
 def two_factor_containing_path(G: BipartiteGraph, path_edges) -> frozenset:
-    """A 2-factor of G containing a given 3-edge path.
+    """A 2-factor of G containing a given 3-edge path end_r-mid_l-mid_r-end_l.
 
-    G must be (n-2)-regular with sides of size n >= 6.  The primary
-    route matches the existence proof: one perfect matching avoiding all
-    four path vertices, then a second avoiding the two middle vertices and
-    the first matching's edges.  When the second matching fails for the
-    first matching found, other deterministic orderings are tried, and a
-    complete degree-constrained search guarantees an answer whenever a
-    2-factor through the path exists at all.
+    G must be (n-2)-regular with sides of size n >= 6.  The factor is the
+    path, a perfect matching phi of the inner graph (G without the path's
+    four vertices), and a perfect matching psi of the outer graph (G
+    without mid_l, mid_r, the path's edges and phi's edges): each end then
+    meets one path edge and one psi edge, each other vertex one phi edge
+    and one psi edge.  Both matchings always exist, so this never fails.
+    A bipartite graph whose sides have m vertices each and whose minimum
+    degree is at least m/2 satisfies Hall's condition (Hall 1935), and:
+
+    * the inner graph has sides n-2, and a vertex loses at most its edges
+      to the two removed path vertices across: degree >= n-4 >= (n-2)/2;
+    * the outer graph has sides n-1, and a vertex loses at most its phi
+      edge and its edge to the removed middle across (an end loses only
+      its path edge): degree >= n-4 >= (n-1)/2 once n >= 7;
+    * at n = 6 the bound falls short, and an exhaustive check covers it:
+      every 4-regular bipartite graph on 6+6 labelled vertices (67,950),
+      with each of its 216 three-edge paths, yields a 2-factor here
+      (``tests/two_factor_exhaustion.py``).
     """
     n = G.n_left
     if n != G.n_right or n < 6:
@@ -470,18 +458,12 @@ def two_factor_containing_path(G: BipartiteGraph, path_edges) -> frozenset:
     path_edges = frozenset(path_edges)
     if not path_edges <= G.edges:
         raise ValueError("path edges must belong to the graph")
-    end_l, end_r, mid_l, mid_r = _path_endpoints(path_edges)
-
-    factor = _factor_via_two_matchings(G, path_edges, end_l, end_r, mid_l, mid_r)
-    if factor is None:
-        factor = _factor_via_bmatching(G, path_edges, end_l, end_r, mid_l, mid_r)
-    if factor is None:
-        raise MatchingError("no 2-factor contains the given path")
+    factor = _factor_via_two_matchings(G, path_edges, *_path_endpoints(path_edges))
     assert path_edges <= factor and BipartiteGraph(n, n, factor).is_regular(2)
     return factor
 
 
-def _factor_via_two_matchings(G, path_edges, end_l, end_r, mid_l, mid_r):
+def _factor_via_two_matchings(G, path_edges, end_l, end_r, mid_l, mid_r) -> frozenset:
     n = G.n_left
     sub_l = [u for u in range(n) if u not in (end_l, mid_l)]
     sub_r = [v for v in range(n) if v not in (end_r, mid_r)]
@@ -492,51 +474,21 @@ def _factor_via_two_matchings(G, path_edges, end_l, end_r, mid_l, mid_r):
         n - 2,
         ((pos_l[u], pos_r[v]) for (u, v) in G.edges if u in pos_l and v in pos_r),
     )
-    for attempt in range(8):
-        try:
-            phi = perfect_matching(inner, order=None if attempt == 0 else attempt)
-        except MatchingError:
-            return None
-        phi_edges = frozenset((sub_l[u], sub_r[v]) for u, v in phi.items())
-        outer_l = [u for u in range(n) if u != mid_l]
-        outer_r = [v for v in range(n) if v != mid_r]
-        opos_l = {u: i for i, u in enumerate(outer_l)}
-        opos_r = {v: i for i, v in enumerate(outer_r)}
-        outer = BipartiteGraph.from_edges(
-            n - 1,
-            n - 1,
-            (
-                (opos_l[u], opos_r[v])
-                for (u, v) in G.edges - phi_edges - path_edges
-                if u in opos_l and v in opos_r
-            ),
-        )
-        try:
-            psi = perfect_matching(outer)
-        except MatchingError:
-            continue
-        psi_edges = frozenset((outer_l[u], outer_r[v]) for u, v in psi.items())
-        return path_edges | phi_edges | psi_edges
-    return None
-
-
-def _factor_via_bmatching(G, path_edges, end_l, end_r, mid_l, mid_r):
-    """Complete fallback: degree-constrained subgraph by augmenting paths.
-
-    Looks for S within G minus the path's edges such that S + path has all
-    degrees exactly 2; i.e. a b-matching with demand 1 at the path's
-    endpoints, 0 at its middles, 2 elsewhere.
-    """
-    n = G.n_left
-    need_l = [2] * n
-    need_r = [2] * n
-    for (u, v) in path_edges:
-        need_l[u] -= 1
-        need_r[v] -= 1
-    adj = [[] for _ in range(n)]
-    for (u, v) in sorted(G.edges - path_edges):
-        adj[u].append(v)
-    owners = _augment(adj, range(n), need_l, need_r)
-    if owners is None:
-        return None
-    return path_edges | frozenset((u, v) for v, mates in owners.items() for u in mates)
+    phi = perfect_matching(inner)
+    phi_edges = frozenset((sub_l[u], sub_r[v]) for u, v in phi.items())
+    outer_l = [u for u in range(n) if u != mid_l]
+    outer_r = [v for v in range(n) if v != mid_r]
+    opos_l = {u: i for i, u in enumerate(outer_l)}
+    opos_r = {v: i for i, v in enumerate(outer_r)}
+    outer = BipartiteGraph.from_edges(
+        n - 1,
+        n - 1,
+        (
+            (opos_l[u], opos_r[v])
+            for (u, v) in G.edges - phi_edges - path_edges
+            if u in opos_l and v in opos_r
+        ),
+    )
+    psi = perfect_matching(outer)
+    psi_edges = frozenset((outer_l[u], outer_r[v]) for u, v in psi.items())
+    return path_edges | phi_edges | psi_edges

@@ -16,8 +16,10 @@ is not a Latin square.  The layers along the third axis are:
 
 Each stage is exposed on its own, operating on a PartialArray of decided
 layers; `construct_vertex` chains them.  Success is guaranteed for even
-n >= 10; orders 6 and 8 are attempted and may raise ConstructionError,
-and smaller orders are refused, as no odd-cycle plant ever fits there.
+n >= 10; orders 6 and 8 are attempted and raise ConstructionError when
+the seed leaves no odd-cycle plant option (every other stage always
+succeeds), and smaller orders are refused, as no odd-cycle plant ever
+fits there.
 The result is re-certified through both the graph and the rank criteria
 before being returned.
 """
@@ -33,7 +35,6 @@ from stocharray.designs import (
     MAX_LATIN_ORDER,
     BipartiteGraph,
     DoubleLatinSquare,
-    MatchingError,
     double_latin_from,
     extract_two_factor,
     is_hamiltonian,
@@ -235,8 +236,10 @@ def plant_odd_cycle(partial: PartialArray, rng: random.Random) -> PartialArray:
 
     Two cells x, y of the first upper rook cycle at odd distance >= 3,
     together with the bend w and the vertical lines of x and y, close an
-    odd walk through the upper layers; the rest of the layer is any
-    2-factor of the still-available vertical lines through that path.
+    odd walk through the upper layers; the rest of the layer is a
+    2-factor of the still-available vertical lines through that path,
+    which always exists.  The first of the shuffled options is planted;
+    ConstructionError means there is none.
     """
     n = partial.n
     if partial.decided != n // 2 + 1:
@@ -246,15 +249,13 @@ def plant_odd_cycle(partial: PartialArray, rng: random.Random) -> PartialArray:
             "the odd-cycle plant needs a 2-factor through a path, "
             "which requires order >= 6"
         )
-    used = partial.layers[n // 2]
     K = BipartiteGraph.from_edges(n, n, partial.available_shafts())
     cycle_cells = rook_cycle_order(sorted(partial.layers[0]))
-    for (x, y, w) in _plant_options(cycle_cells, used, rng):
-        try:
-            return partial.with_layer(two_factor_containing_path(K, _path_edges(x, y, w)))
-        except MatchingError:
-            continue
-    raise ConstructionError("no odd-cycle plant admits a completing 2-factor")
+    # the whole list is drawn and shuffled: the later layers' draws follow it
+    options = _plant_options(cycle_cells, partial.layers[n // 2], rng)
+    if not options:
+        raise ConstructionError("no odd-cycle plant admits a completing 2-factor")
+    return partial.with_layer(two_factor_containing_path(K, _path_edges(*options[0])))
 
 
 def fill_remaining_layers(partial: PartialArray, rng: random.Random) -> Array3:
@@ -286,8 +287,9 @@ def construct_vertex(n: int, seed: int = 0) -> tuple:
     Returns (array, certificate) where the certificate is the rank-based
     one; the graph criterion is evaluated as well and the two must agree.
     Raises ValueError for odd n or n < 6, where the odd-cycle plant has
-    no room, and ConstructionError when the randomized pipeline fails
-    (possible only for even n < 10).
+    no room, and ConstructionError when the first upper rook cycle offers
+    no odd-cycle plant clear of the first lower layer (possible only for
+    even n < 10); every other stage always succeeds.
     """
     if n % 2 or n < 6:
         raise ValueError("order must be even and >= 6")

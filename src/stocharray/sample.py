@@ -160,10 +160,10 @@ def run_experiment(spec: PolytopeSpec, trials: int, seed: int = 0) -> SampleRepo
         raise ValueError("need at least one trial")
     if trials > MAX_TRIALS:
         raise ValueError(f"sample is capped at {MAX_TRIALS} trials; got {trials}")
-    entries = spec.group_count * spec.total_cells
-    if entries > MAX_LP_ENTRIES:
+    if spec.cells_exceed(MAX_LP_ENTRIES) or spec.group_count * spec.total_cells > MAX_LP_ENTRIES:
         raise ValueError(
-            f"sample is capped at {MAX_LP_ENTRIES} LP entries (groups x cells); got {entries}"
+            f"sample is capped at {MAX_LP_ENTRIES} LP entries (groups x cells); "
+            f"{spec.kind} n={spec.n}, d={spec.d} has more"
         )
     cap = support_size_bound(spec)
     shafts = spec.n**2

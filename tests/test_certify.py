@@ -304,10 +304,10 @@ def test_enumerate_guards():
     """Above the cell or axis cap an instance is refused before any
     elimination; under them, a run that passes the work budget is refused
     mid-run."""
-    for spec, shape in ((PolytopeSpec("omega", 5, 2), "125 cells and 3 axes"),
-                        (PolytopeSpec("omega", 1, 64), "1 cells and 65 axes")):
+    for spec in (PolytopeSpec("omega", 5, 2), PolytopeSpec("omega", 1, 64)):
         start = time.perf_counter()
-        with pytest.raises(ValueError, match=f"{shape}; enumeration is capped at 64 of each"):
+        limit = f"capped at 64 cells and as many axes; n={spec.n}, d={spec.d} has more"
+        with pytest.raises(ValueError, match=limit):
             enumerate_vertices(spec)
         assert time.perf_counter() - start < 1.0
     assert len(enumerate_vertices(PolytopeSpec("omega", 1, 63))) == 1

@@ -371,8 +371,8 @@ def test_enumerate_too_large(capsys):
     n=6 d=1 passes the work budget and is refused mid-run.  All exit 2
     naming the limit."""
     for n, d, limit, seconds in (
-        ("5", "2", "instance has 125 cells and 3 axes; enumeration is capped at 64 of each", 1.0),
-        ("1", "500", "instance has 1 cells and 501 axes", 1.0),
+        ("5", "2", "enumeration is capped at 64 cells and as many axes; n=5, d=2 has more", 1.0),
+        ("1", "500", "n=1, d=500 has more", 1.0),
         ("6", "1", "work budget of 10000000 zero-set comparisons", 5.0),
     ):
         start = time.perf_counter()
@@ -578,7 +578,17 @@ def test_sample_single_cell_omega_d2():
 def test_sample_lp_size_cap(capsys):
     code, out, err = run(capsys, "sample", "--kind", "omega", "--n", "6", "--d", "3")
     assert code == 2 and out == ""
-    assert "capped at 1000000 LP entries" in err and "1119744" in err
+    assert "capped at 1000000 LP entries (groups x cells); omega n=6, d=3 has more" in err
+
+
+def test_huge_d_is_refused_without_the_power(capsys):
+    """n^(d+1) would have about 5 * 10^8 digits; the refusal names n and d."""
+    for command in ("enumerate", "sample"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, "--kind", "omega", "--n", "3", "--d", str(10**9))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "") and "n=3, d=1000000000 has more" in err
+        assert len(err.encode()) < 200
 
 
 def test_sample_trial_cap(capsys):
@@ -618,6 +628,19 @@ def test_seed_env_must_be_integer(capsys, monkeypatch):
     monkeypatch.setenv("SEED", "not-a-number")
     code, _, err = run(capsys, "construct", "sigma", "--n", "3")
     assert code == 2 and "SEED" in err
+
+
+@pytest.mark.parametrize(
+    "text", ["٣", "1_0", " 3", "+3"], ids=["unicode-digit", "underscore", "whitespace", "plus"]
+)
+def test_integers_are_read_in_ascii_digits_only(capsys, monkeypatch, text):
+    """int() reads each of these as a number; a flag or SEED holding one exits 2."""
+    code, out, err = run(capsys, "construct", "sigma", "--n", text)
+    assert (code, out) == (2, "") and f"argument --n: invalid integer value: {text!r}" in err
+    monkeypatch.setenv("SEED", text)
+    code, out, err = run(capsys, "construct", "sigma", "--n", "3")
+    assert (code, out) == (2, "")
+    assert f"SEED environment variable is not an integer: {text!r}" in err
 
 
 def test_flag_beats_environment(capsys, monkeypatch):
@@ -714,10 +737,16 @@ def test_bounds_report_prints_the_committed_golden_bytes(capsys):
     assert out == REPORT_GOLDEN.read_text(encoding="utf-8")
 
 
-def test_bounds_permanent_prints_the_committed_golden_bytes(capsys):
-    """Order 8, mixed denominators, zeros and negative entries."""
+def test_bounds_permanent_prints_the_committed_golden_bytes(capsys, tmp_path):
+    """Order 8, mixed denominators, zeros and negative entries.  The same
+    matrix with an entry out of lowest terms is refused."""
     _, out, _ = run(capsys, "bounds", "permanent", str(PERMANENT_MATRIX))
     assert out == PERMANENT_GOLDEN.read_text(encoding="utf-8")
+    path = tmp_path / "unreduced.json"
+    path.write_text(PERMANENT_MATRIX.read_text(encoding="utf-8").replace('"2/3"', '"4/6"', 1))
+    assert run(capsys, "bounds", "permanent", str(path)) == (
+        2, "", "stocharray: invalid parameters: malformed rational string: '4/6'\n"
+    )
 
 
 def test_enumerate_prints_the_committed_golden_bytes(capsys):

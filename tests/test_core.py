@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -246,9 +247,45 @@ def test_fraction_json_forms():
     assert fraction_from_json("7/3") == Fraction(7, 3)
     assert fraction_from_json(-2) == -2
     assert fraction_from_json("-1/2") == Fraction(-1, 2)
-    for bad in (True, "1/0", "x/y", 0.5, "3/", ""):
+    # the second row decoded before only canonical strings were read
+    for bad in (True, "1/0", "x/y", 0.5, "3/", "",
+                "١/٢", "1/２", "2/4", "007/2", "-0/3", "3/1", "0/5", "1/02"):
         with pytest.raises(ValueError):
             fraction_from_json(bad)
+
+
+def is_canonical(s: str) -> bool:
+    """Whether s is "p/q" in ASCII digits, p and q without leading zeros,
+    q >= 2 and gcd(p, q) = 1: the strings fraction_to_json writes."""
+    num, sep, den = s.partition("/")
+    digits = num[1:] if num.startswith("-") else num
+    return (
+        sep == "/"
+        and all(c in "0123456789" for c in digits + den)
+        and digits[:1] not in ("", "0")
+        and den[:1] not in ("", "0")
+        and int(den) >= 2
+        and math.gcd(int(digits), int(den)) == 1
+    )
+
+
+RATIONAL_PIECES = st.sampled_from(
+    ["", "-", "+", "/", "0", "00", "1", "2", "3", "4", "6", "12", "٣", "２", "²", "_", " "]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.lists(RATIONAL_PIECES, max_size=5).map("".join),
+    st.builds("{}/{}".format, st.integers(-40, 40), st.integers(-3, 40)),
+))
+def test_rational_strings_decode_exactly_when_canonical(s):
+    try:
+        x = fraction_from_json(s)
+    except ValueError:
+        assert not is_canonical(s)
+    else:
+        assert is_canonical(s) and fraction_to_json(x) == s
 
 
 def test_json_dict_roundtrip():

@@ -5,7 +5,6 @@ import random
 
 import pytest
 
-from stocharray import designs
 from stocharray.designs import (
     MAX_LATIN_ORDER,
     BipartiteGraph,
@@ -27,6 +26,7 @@ from stocharray.designs import (
 
 from fixtures import complete_bipartite, random_latin_discordant
 from oracles import oracle_count_latin, oracle_latin_squares, oracle_rook_cycles
+from two_factor_exhaustion import check_every_path, complement, removed_two_factors
 
 LATIN_COUNTS = {1: 1, 2: 2, 3: 12, 4: 576, 5: 161280}
 
@@ -280,10 +280,7 @@ def test_two_factor_containing_path():
         assert path <= F
 
 
-def test_two_factor_fallback_finds_a_factor_through_the_path(monkeypatch):
-    """With the two-matching route switched off, the degree-constrained
-    search alone returns a valid 2-factor containing the path."""
-    monkeypatch.setattr(designs, "_factor_via_two_matchings", lambda *args: None)
+def test_two_factor_through_random_paths():
     for n in range(6, 11):
         for seed in range(60):
             G = random_regular_instance(n, seed)
@@ -291,6 +288,13 @@ def test_two_factor_fallback_finds_a_factor_through_the_path(monkeypatch):
             F = two_factor_containing_path(G, path)
             check_two_factor(F, n)
             assert path <= F <= G.edges
+
+
+def test_two_factor_through_every_path_of_sampled_order_six_graphs():
+    """A slice of tests/two_factor_exhaustion.py: every 3-edge path of every
+    1359th 4-regular bipartite graph on 6+6 vertices."""
+    sample = itertools.islice(removed_two_factors(), 0, None, 1359)
+    assert sum(check_every_path(complement(rows)) for rows in sample) == 50 * 216
 
 
 def test_two_factor_containing_path_errors():
