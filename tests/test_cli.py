@@ -50,11 +50,14 @@ FOUR_AXIS_ENUMERATE_GOLDEN = GOLDENS / "enumerate-sigma-n2-d3.json"
 LATIN_GOLDEN = GOLDENS / "designs-latin-order9-seed5.json"
 SIGMA_CONSTRUCT_GOLDEN = GOLDENS / "sigma-n8-seed2.json"
 CONSTRUCT_SWEEP = GOLDENS / "construct-sweep.json"
+SAMPLE_SWEEP = GOLDENS / "sample-sweep.json"
+PIVOT_PIN = GOLDENS / "pivot-pin.json"
 # committed command outputs and inputs that are not arrays
 NON_ARRAY_GOLDENS = (
     SAMPLE_GOLDEN, SIGMA_SAMPLE_GOLDEN, DEEP_SAMPLE_GOLDEN, FLAT_SAMPLE_GOLDEN, WITNESS_GOLDEN,
     REPORT_GOLDEN, PERMANENT_MATRIX, PERMANENT_GOLDEN, ENUMERATE_GOLDEN,
     LATIN_CUBE_ENUMERATE_GOLDEN, FOUR_AXIS_ENUMERATE_GOLDEN, LATIN_GOLDEN, CONSTRUCT_SWEEP,
+    SAMPLE_SWEEP, PIVOT_PIN,
 )
 ENUMERATE_ARGV = ("enumerate", "--kind", "omega", "--n", "4", "--d", "1")
 LATIN_CUBE_ENUMERATE_ARGV = ("enumerate", "--kind", "omega", "--n", "3", "--d", "2")

@@ -1,12 +1,13 @@
-"""Every seeded builder command keeps the bytes recorded in goldens/construct-sweep.json."""
+"""Every seeded command in the byte manifests keeps the bytes recorded there."""
 
-import json
-
-from construct_sweep import MANIFEST, commands, record
+from construct_sweep import MANIFEST, SAMPLE_MANIFEST, changed, commands, sample_commands
 
 
 def test_construct_sweep_keeps_its_bytes():
-    entries = json.loads(MANIFEST.read_text(encoding="utf-8"))
-    assert [e["argv"] for e in entries] == commands()
-    changed = [" ".join(e["argv"]) for e in entries if record(e["argv"]) != e]
-    assert not changed, f"{len(changed)} command(s) changed their output: {changed[:5]}"
+    found = changed(MANIFEST, commands())
+    assert not found, f"{len(found)} command(s) changed their output: {found[:5]}"
+
+
+def test_sample_sweep_keeps_its_bytes():
+    found = changed(SAMPLE_MANIFEST, sample_commands())
+    assert not found, f"{len(found)} command(s) changed their output: {found[:5]}"

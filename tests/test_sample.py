@@ -1,6 +1,7 @@
 """Seeded random-objective sampling and its exact LP plumbing."""
 
 import itertools
+import json
 import time
 from fractions import Fraction
 
@@ -8,6 +9,8 @@ import pytest
 
 from fixtures import latin_to_array
 from oracles import oracle_vertices
+from pivot_pin import PIN, solves
+from pivot_pin import record as record_solve
 from stocharray import sample
 from stocharray.bounds import support_size_bound
 from stocharray.certify import enumerate_vertices, independent_groups
@@ -89,6 +92,15 @@ def test_reduced_constraints_drop_counts():
         assert len(set(basis)) == len(tableau)
         for r, j in enumerate(basis):
             assert [row[j] for row in tableau] == [int(i == r) for i in range(len(tableau))]
+
+
+def test_pivot_pin_holds():
+    """Each pinned solve makes the recorded number of pivots and reaches the
+    recorded optimum, so the simplex keeps its pivot path."""
+    entries = json.loads(PIN.read_text(encoding="utf-8"))
+    assert [(e["kind"], e["n"], e["d"], e["seed"]) for e in entries] == solves()
+    moved = [e for e in entries if record_solve(e["kind"], e["n"], e["d"], e["seed"]) != e]
+    assert not moved, f"{len(moved)} solve(s) left the pinned path: {moved[:3]}"
 
 
 def closed_form_vertex(spec):
