@@ -83,7 +83,8 @@ def support_size_bound(spec: PolytopeSpec) -> int:
     """Largest possible vertex support: the constraint-matrix rank.
 
     Line-stochastic: n^(d+1) - (n-1)^(d+1).  Hyperplane-stochastic:
-    (d+1)(n-1) + 1.  Matches `len(certify.independent_groups(spec))` exactly.
+    (d+1)(n-1) + 1.  Equals ``len(sample.lp_start(spec).basis)``, the rank
+    that one exact elimination finds.
     """
     n, d = spec.n, spec.d
     if spec.kind == "omega":

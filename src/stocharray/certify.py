@@ -11,9 +11,10 @@ Three exact routes, all over rational arithmetic:
 
 Both decision routes return a `VertexCertificate`; negative certificates
 carry an exact witness pair (X, Y) of distinct members averaging to the
-queried point.  The rank route runs one sparse exact elimination
-(`linalg.eliminate`).  Kernel vectors and witnesses are re-verified
-before they are returned, raising `CertificateError` on failure.
+queried point.  The rank route runs one sparse exact elimination (a
+`linalg.SparseBasis` over the support's columns).  Kernel vectors and
+witnesses are re-verified before they are returned, raising
+`CertificateError` on failure.
 """
 
 from __future__ import annotations
@@ -22,11 +23,10 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Optional
 
-from stocharray.core import HALF, Array3, PolytopeSpec, cell_groups, group_rows, is_member
-from stocharray.linalg import SparseBasis, eliminate
+from stocharray.core import HALF, Array3, PolytopeSpec, cell_groups, is_member
+from stocharray.linalg import SparseBasis
 
 ONE = Fraction(1)
 # past these, enumeration runs for many seconds (its setup grows with the cells,
@@ -258,6 +258,22 @@ def support_columns(A: Array3, spec: PolytopeSpec) -> tuple:
     return [dict.fromkeys(groups[i], 1) for i in support], support
 
 
+def _first_dependency(columns: list) -> Optional[list]:
+    """The kernel vector x of the first column j dependent on those before
+    it, with x[j] = 1 and x[k] = 0 for k > j, as Fractions; None when the
+    columns are independent."""
+    basis = SparseBasis()
+    for j, column in enumerate(columns):
+        if not basis.add(column):
+            # columns 0..j-1 were all added, so position t is column t
+            x = [Fraction(0)] * len(columns)
+            x[j] = ONE
+            for t, c in basis.express(column).items():
+                x[t] = Fraction(-c)
+            return x
+    return None
+
+
 def _check_kernel(columns: list, x: list) -> None:
     if not any(x):
         raise CertificateError("kernel vector vanished")
@@ -289,7 +305,7 @@ def is_vertex_rank(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
 def _rank_certificate(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
     """`is_vertex_rank` of a member of spec, not re-tested here."""
     columns, support = support_columns(A, spec)
-    v = eliminate(columns, stop_at_dependency=True).kernel
+    v = _first_dependency(columns)
     if v is None:
         return VertexCertificate(True, "rank")
     _check_kernel(columns, v)
@@ -303,13 +319,6 @@ def _rank_certificate(A: Array3, spec: PolytopeSpec) -> VertexCertificate:
     Y = _shift(A, delta, -1)
     _check_witness(A, spec, X, Y)
     return VertexCertificate(False, "rank", witness=(X, Y))
-
-
-@lru_cache(maxsize=8)
-def independent_groups(spec: PolytopeSpec) -> tuple:
-    """Ids of the groups whose rows one elimination pass keeps: a row basis
-    of the constraint matrix, earliest first in group-id order."""
-    return eliminate(group_rows(spec)).independent
 
 
 # ─── exhaustive enumeration ──────────────────────────────────────────────────

@@ -93,12 +93,20 @@ def _meta(command: str, seed=None, **params) -> dict:
     return meta
 
 
+def _brief(text: str) -> str:
+    """``text`` in full up to 20 characters, else its first 16 and its length."""
+    return text if len(text) <= 20 else f"{text[:16]}... ({len(text)} characters)"
+
+
 def integer(text: str) -> int:
     """An integer in ASCII digits with an optional leading minus.  int() alone
     also takes other scripts' digits, underscores, whitespace and a plus."""
-    if not re.fullmatch(r"-?[0-9]+", text):
-        raise ValueError(f"not an integer: {text!r}")
-    return int(text)
+    if re.fullmatch(r"-?[0-9]+", text):
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() converts
+            pass
+    raise argparse.ArgumentTypeError(f"invalid integer value: {_brief(text)!r}")
 
 
 def _resolve_seed(flag_value) -> int:
@@ -108,8 +116,8 @@ def _resolve_seed(flag_value) -> int:
     if env is not None:
         try:
             return integer(env)
-        except ValueError:
-            raise ValueError(f"SEED environment variable is not an integer: {env!r}")
+        except argparse.ArgumentTypeError:
+            raise ValueError(f"SEED environment variable is not an integer: {_brief(env)!r}")
     return 0
 
 
@@ -374,7 +382,9 @@ def main(argv=None) -> int:
         sys.stderr.write(f"stocharray: i/o failure: {e}\n")
         return 3
     except ValueError as e:
-        sys.stderr.write(f"stocharray: invalid parameters: {e}\n")
+        # a huge value prints in brief, so that it cannot flood stderr
+        message = re.sub(r"[0-9]{21,}", lambda m: _brief(m[0]), str(e))
+        sys.stderr.write(f"stocharray: invalid parameters: {message}\n")
         return 2
     except ConstructionError as e:
         sys.stderr.write(f"stocharray: construction failed: {e}\n")

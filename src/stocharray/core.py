@@ -184,15 +184,6 @@ def cell_groups(spec: PolytopeSpec) -> tuple:
     return tuple(zip(*columns))
 
 
-def group_rows(spec: PolytopeSpec) -> list:
-    """The constraint matrix by rows: each group's sparse row {flat cell: 1}, by id."""
-    rows = [{} for _ in range(spec.group_count)]
-    for i, groups in enumerate(cell_groups(spec)):
-        for g in groups:
-            rows[g][i] = 1
-    return rows
-
-
 # ─── membership and basic polytope facts ─────────────────────────────────────
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Optional, Sequence
+from typing import Mapping, Optional
 
 
 class SparseBasis:
@@ -91,40 +91,4 @@ class SparseBasis:
                 for s, g in multipliers.items():
                     h[s] = h.get(s, 0) - c * g
         return out
-
-
-class Elimination(NamedTuple):
-    """One left-to-right pass: the columns independent of all before them,
-    and, for the first dependent column j (if any), the unique kernel vector
-    x with x[j] = 1 and x[k] = 0 for k > j, as Fractions."""
-
-    independent: tuple
-    kernel: Optional[list]
-
-    @property
-    def rank(self) -> int:
-        return len(self.independent)
-
-
-def eliminate(columns: Sequence[Mapping], stop_at_dependency: bool = False) -> Elimination:
-    """Exact rank and first kernel vector of sparse columns.
-
-    With ``stop_at_dependency`` the pass ends at the first dependent
-    column, so ``independent`` holds only the columns before it.
-    """
-    basis = SparseBasis()
-    independent = []
-    kernel = None
-    for j, column in enumerate(columns):
-        if basis.add(column):
-            independent.append(j)
-            continue
-        if kernel is None:
-            kernel = [Fraction(0)] * len(columns)
-            kernel[j] = Fraction(1)
-            for t, c in basis.express(column).items():
-                kernel[independent[t]] = Fraction(-c)
-        if stop_at_dependency:
-            break
-    return Elimination(tuple(independent), kernel)
 

@@ -4,10 +4,10 @@ A seeded Gaussian objective (quantized to rationals so the whole
 pipeline stays exact) is maximized over the polytope; the optimizer's
 basic solution is a vertex, which is then certified independently
 through the rank criterion, and through the support-graph criterion as
-well whenever the optimum happens to be half-integral.  The LP keeps
-only independent constraint rows and starts at a vertex known in closed
-form, the Latin-type array of omega or the diagonal of sigma, so the
-simplex needs no phase 1; that start is built once per polytope.
+well whenever the optimum happens to be half-integral.  The LP has one
+row per constraint group and starts at a vertex known in closed form, the
+Latin-type array of omega or the diagonal of sigma, so the simplex needs
+no phase 1; that start is built once per polytope.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from stocharray.bounds import support_size_bound
-from stocharray.certify import _graph_certificate, _rank_certificate, independent_groups
+from stocharray.certify import _graph_certificate, _rank_certificate
 from stocharray.core import (
     HALF,
     Array3,
@@ -80,28 +80,22 @@ def gaussian_objective(spec: PolytopeSpec, seed: int) -> Objective:
 def lp_start(spec: PolytopeSpec) -> Start:
     """The polytope's LP, pivoted onto a vertex known in closed form.
 
-    Rows are the independent constraint groups, as many as the rank.  The
-    vertex is 1 where the coordinates sum to 0 mod n (omega: one cell per
-    line) or on the diagonal (sigma: one cell per hyperplane); its support
-    is extended to a basis with the other cells in flat order.
+    Every group is a row, dependent ones included.  The vertex is 1 where
+    the coordinates sum to 0 mod n (omega: one cell per line) or on the
+    diagonal (sigma: one cell per hyperplane); its support is extended to a
+    basis with the other cells in flat order, one column per unit of rank.
     """
-    n, cells = spec.n, spec.total_cells
-    kept = independent_groups(spec)
-    row_of = {g: r for r, g in enumerate(kept)}
-    columns = [{row_of[g]: 1 for g in gs if g in row_of} for gs in cell_groups(spec)]
+    n = spec.n
+    columns = [dict.fromkeys(gs, 1) for gs in cell_groups(spec)]
     coords = itertools.product(range(n), repeat=spec.d + 1)
     if spec.kind == "omega":
         vertex = [i for i, c in enumerate(coords) if sum(c) % n == 0]
     else:
         vertex = [i for i, c in enumerate(coords) if min(c) == max(c)]
     found = SparseBasis()
-    basis = []
     # the vertex's cells come round again in flat order and add nothing
-    for i in itertools.chain(vertex, range(cells)):
-        if len(basis) < len(kept) and found.add(columns[i]):
-            basis.append(i)
-    rows = [[int(r in column) for column in columns] for r in range(len(kept))]
-    return start_at(rows, [1] * len(kept), basis)
+    basis = [i for i in itertools.chain(vertex, range(spec.total_cells)) if found.add(columns[i])]
+    return start_at(columns, dict.fromkeys(range(spec.group_count), 1), basis)
 
 
 def maximize(spec: PolytopeSpec, objective: Objective) -> tuple:

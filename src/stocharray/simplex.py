@@ -2,12 +2,12 @@
 
 Solves  maximize c.x  subject to  A x = b, x >= 0  with a dense tableau,
 so the solver never rounds.  There is no phase 1: the caller names a
-feasible basis, `start_at` pivots the tableau onto it once, and every
-`solve_lp` on that system starts from a copy of the result.  Pricing is
-Dantzig's rule (largest reduced cost, lowest index on ties), switching
-to Bland's rule after a run of degenerate pivots, so the solver cannot
-cycle.  Intended for the modest LP sizes this package needs; no effort
-is spent on sparse representations.
+feasible basis, `start_at` reads the tableau B^-1 [A | b] off one sparse
+exact elimination of it, and every `solve_lp` on that system pivots from
+a copy.  Pricing is Dantzig's rule (largest reduced cost, lowest index on
+ties), switching to Bland's rule after a run of degenerate pivots, so the
+solver cannot cycle.  Ties in the ratio test go to the lowest basic
+column, so no rule depends on the order of the tableau's rows.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional
+
+from stocharray.linalg import SparseBasis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -101,30 +103,31 @@ def _optimize(tableau: list, basis: list, n: int) -> tuple:
         pivots += 1
 
 
-def start_at(rows, rhs, basis) -> Start:
-    """The tableau of rows . x = rhs pivoted onto the given basis columns.
+def start_at(columns, rhs, basis) -> Start:
+    """The tableau of A x = rhs on the given basis columns: row t holds the
+    coefficient of basis column t in each column of A and in rhs.
 
-    There must be one basis column per row, those columns must be
-    independent (so the rows are full rank), and the basic solution must
-    be nonnegative; otherwise ValueError.
+    Columns, rhs included, are sparse mappings from row to value; the rows
+    may be dependent.  The basis columns must be independent and span the
+    others, and the basic solution must be nonnegative; else ValueError.
     """
-    m, n = len(rows), len(rows[0]) if rows else 0
-    if m == 0 or any(len(r) != n for r in rows) or len(rhs) != m:
-        raise ValueError("need at least one constraint, and consistent LP dimensions")
-    if len(basis) != m or not all(0 <= j < n for j in basis):
-        raise ValueError("the basis must name one column per row")
-    tableau = [list(r) + [b] for r, b in zip(rows, rhs)]
-    basic = [None] * m  # the basic column of each row
-    free = set(range(m))
+    n = len(columns)
+    if not basis or not all(0 <= j < n for j in basis):
+        raise ValueError("the basis must name at least one column, each in range")
+    found = SparseBasis()
     for j in basis:
-        pr = min((i for i in free if tableau[i][j]), default=None)
-        if pr is None:
-            raise ValueError("basis columns are dependent or the rows are not full rank")
-        free.remove(pr)
-        _pivot(tableau, basic, pr, j)
+        if not found.add(columns[j]):
+            raise ValueError("basis columns are dependent")
+    tableau = [[0] * (n + 1) for _ in basis]
+    for j, column in enumerate((*columns, rhs)):
+        coefficients = found.express(column)
+        if coefficients is None:
+            raise ValueError("the basis does not span the columns and the right-hand side")
+        for t, c in coefficients.items():
+            tableau[t][j] = c
     if any(row[-1] < 0 for row in tableau):
         raise ValueError("the basic solution has a negative entry")
-    return Start(tuple(tuple(r) for r in tableau), tuple(basic))
+    return Start(tuple(map(tuple, tableau)), tuple(basis))
 
 
 def solve_lp(start: Start, objective) -> SimplexResult:

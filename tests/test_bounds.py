@@ -20,9 +20,9 @@ from stocharray.bounds import (
     support_size_bound,
     two_factor_log_lower_bound,
 )
-from stocharray.certify import independent_groups
 from stocharray.core import PolytopeSpec
 from stocharray.designs import count_latin, random_latin
+from stocharray.sample import lp_start
 
 
 def test_permanent_known_values():
@@ -174,7 +174,7 @@ def test_support_size_bound_matches_constraint_rank():
     ]
     for kind, n, d in cases:
         spec = PolytopeSpec(kind, n, d)
-        assert support_size_bound(spec) == len(independent_groups(spec))
+        assert support_size_bound(spec) == len(lp_start(spec).basis)
 
 
 def test_log_of_int():

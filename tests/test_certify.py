@@ -27,16 +27,14 @@ from stocharray.certify import (
     build_support_graph,
     enumerate_vertices,
     half_integral_certificate,
-    independent_groups,
     is_vertex_rank,
     support_columns,
 )
 from stocharray.cli import main
 from stocharray.core import Array3, PolytopeSpec, is_member, to_json_dict, uniform_array
 from stocharray.designs import LatinSquare, is_hamiltonian, random_latin
-from stocharray.linalg import Elimination
 from stocharray.omega_build import construct_vertex
-from stocharray.sample import run_experiment
+from stocharray.sample import lp_start, run_experiment
 from stocharray.sigma_build import construct_sigma_vertex
 
 HALF = Fraction(1, 2)
@@ -220,9 +218,9 @@ def test_rank_and_dimension_values():
     """The dimension of a polytope is its cell count minus the constraint rank."""
 
     def dimension(spec):
-        return spec.total_cells - len(independent_groups(spec))
+        return spec.total_cells - len(lp_start(spec).basis)
 
-    assert len(independent_groups(PolytopeSpec("omega", 3, 2))) == 19
+    assert len(lp_start(PolytopeSpec("omega", 3, 2)).basis) == 19
     assert dimension(PolytopeSpec("omega", 3, 2)) == 8
     assert dimension(PolytopeSpec("omega", 3, 1)) == 4
     assert dimension(PolytopeSpec("sigma", 2, 2)) == 4
@@ -367,20 +365,17 @@ def nudge(A, steps):
 def test_wrong_kernel_vector_is_caught(monkeypatch):
     A, spec = latin_midpoint()
     k = len(A.support())
-    real = certify.eliminate
+    real = certify._first_dependency
 
-    def fake(columns, stop_at_dependency=False):
-        got = real(columns, stop_at_dependency)
-        wrong = list(got.kernel)
+    def fake(columns):
+        wrong = real(columns)
         wrong[-1] += 1  # moves the vector out of the kernel
-        return Elimination(got.independent, wrong)
+        return wrong
 
-    monkeypatch.setattr(certify, "eliminate", fake)
+    monkeypatch.setattr(certify, "_first_dependency", fake)
     with pytest.raises(CertificateError, match="not in the kernel"):
         is_vertex_rank(A, spec)
-    monkeypatch.setattr(
-        certify, "eliminate", lambda columns, stop_at_dependency=False: Elimination((), [0] * k)
-    )
+    monkeypatch.setattr(certify, "_first_dependency", lambda columns: [0] * k)
     with pytest.raises(CertificateError, match="vanished"):
         is_vertex_rank(A, spec)
 

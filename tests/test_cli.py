@@ -594,6 +594,25 @@ def test_huge_d_is_refused_without_the_power(capsys):
         assert len(err.encode()) < 200
 
 
+def test_huge_values_are_refused_in_brief(capsys, monkeypatch):
+    """A refusal prints a value of more than 20 characters as its first 16 and
+    its length: 5,000 digits are past what int() converts, 4,000 are not."""
+    ones = "1" * 4000
+    for argv in (
+        ("enumerate", "--kind", "omega", "--n", "3", "--d", "1" * 5000),
+        ("construct", "sigma", "--n", ones),
+        ("sample", "--kind", "omega", "--n", "3", "--trials", ones),
+        ("construct", "sigma", "--n", "3", "--count", ones),
+        ("designs", "latin", "--order", ones),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.encode()) < 200 and "1111111111111111... (" in err, argv
+    monkeypatch.setenv("SEED", ones + "x")
+    code, out, err = run(capsys, "construct", "sigma", "--n", "3")
+    assert (code, out) == (2, "") and "'1111111111111111... (4001 characters)'" in err
+
+
 def test_sample_trial_cap(capsys):
     start = time.perf_counter()
     code, out, err = run(

@@ -1,4 +1,9 @@
-"""The sparse elimination kernel against a naive rational-Gauss oracle."""
+"""The sparse elimination kernel against a naive rational-Gauss oracle.
+
+`SparseBasis` answers rank and solve questions; `certify._first_dependency`,
+its one loop that stops early, answers the kernel question of the rank
+certificate.
+"""
 
 import random
 from fractions import Fraction
@@ -6,7 +11,8 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stocharray.linalg import SparseBasis, eliminate
+from stocharray.certify import _first_dependency
+from stocharray.linalg import SparseBasis
 
 
 def naive_rank(rows):
@@ -42,8 +48,14 @@ def columns_of(rows, k=None):
     return [{r: row[j] for r, row in enumerate(rows) if row[j]} for j in range(k)]
 
 
+def independent(columns):
+    """The columns a fresh basis keeps, in order."""
+    basis = SparseBasis()
+    return [j for j, column in enumerate(columns) if basis.add(column)]
+
+
 def rank_of(rows):
-    return eliminate(columns_of(rows)).rank if rows else 0
+    return len(independent(columns_of(rows))) if rows else 0
 
 
 def apply(rows, x):
@@ -73,11 +85,10 @@ def test_rank_on_engineered_deficiencies():
 
 def test_echelon_pivot_columns():
     """The independent columns are the pivot columns of a row echelon form."""
-    elim = eliminate(columns_of([[1, 2, 3], [2, 4, 6], [0, 0, 1]]))
-    assert elim.rank == 2
-    assert elim.independent == (0, 2)
+    cols = columns_of([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+    assert independent(cols) == [0, 2]
     # column 1 is twice column 0
-    assert elim.kernel == [Fraction(-2), Fraction(1), Fraction(0)]
+    assert _first_dependency(cols) == [Fraction(-2), Fraction(1), Fraction(0)]
 
 
 def test_kernel_vector_properties():
@@ -86,7 +97,7 @@ def test_kernel_vector_properties():
     for _ in range(40):
         m, k = rng.randrange(1, 6), rng.randrange(2, 7)
         M = random_matrix(rng, m, k)
-        v = eliminate(columns_of(M)).kernel
+        v = _first_dependency(columns_of(M))
         if naive_rank(M) == k:
             assert v is None
             continue
@@ -99,11 +110,10 @@ def test_kernel_vector_properties():
 
 def test_stop_at_dependency_ends_the_pass():
     cols = columns_of([[1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    full = eliminate(cols)
-    assert full.independent == (0, 2, 3) and full.rank == 3
-    early = eliminate(cols, stop_at_dependency=True)
-    assert early.independent == (0,)
-    assert early.kernel == full.kernel == [Fraction(-1), Fraction(1), 0, 0]
+    assert independent(cols) == [0, 2, 3]
+    assert _first_dependency(cols) == [Fraction(-1), Fraction(1), 0, 0]
+    # a column after the first dependent one is never read
+    assert _first_dependency(cols[:2] + [None]) == [Fraction(-1), Fraction(1), 0]
 
 
 def test_basis_add_keeps_the_independent_columns():
@@ -114,16 +124,17 @@ def test_basis_add_keeps_the_independent_columns():
         basis = SparseBasis()
         kept = [j for j, c in enumerate(cols) if basis.add(c)]
         assert len(kept) == naive_rank(M)
-        assert list(eliminate(cols).independent) == kept
+        # column j is kept exactly when it raises the rank of the columns before it
+        ranks = [naive_rank([row[:j] for row in M]) for j in range(8)]
+        assert kept == [j for j in range(7) if ranks[j + 1] > ranks[j]]
         assert not any(basis.add(c) for c in cols)
 
 
 def test_exact_rationals_and_fraction_entries():
     # column 2 is 1/3 col 0 + 1/2 col 1; scales force non-unit pivots
     cols = [{0: 3, 1: 6}, {0: 2, 2: 4}, {0: Fraction(2), 1: Fraction(2), 2: Fraction(2)}]
-    elim = eliminate(cols)
-    assert elim.rank == 2
-    assert elim.kernel == [Fraction(-1, 3), Fraction(-1, 2), Fraction(1)]
+    assert independent(cols) == [0, 1]
+    assert _first_dependency(cols) == [Fraction(-1, 3), Fraction(-1, 2), Fraction(1)]
 
 
 @st.composite
@@ -146,15 +157,14 @@ def sparse_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(sparse_matrices())
 def test_rank_equals_oracle_property(rows):
-    assert eliminate(columns_of(rows)).rank == naive_rank(rows)
+    assert rank_of(rows) == naive_rank(rows)
 
 
 @settings(max_examples=200, deadline=None)
 @given(sparse_matrices())
 def test_first_dependency_vector_property(rows):
     k = len(rows[0])
-    elim = eliminate(columns_of(rows))
-    x = elim.kernel
+    x = _first_dependency(columns_of(rows))
     if naive_rank(rows) == k:
         assert x is None
         return
@@ -164,7 +174,6 @@ def test_first_dependency_vector_property(rows):
     assert apply(rows, x) == [0] * len(rows)
     assert x[j] == 1
     assert all(v == 0 for v in x[j + 1 :])
-    assert eliminate(columns_of(rows), stop_at_dependency=True).kernel == x
 
 
 def test_express_recovers_known_solution():
@@ -204,9 +213,7 @@ def test_add_refuses_dependent_column():
 
 
 def test_empty_and_degenerate_shapes():
-    assert eliminate([]).rank == 0 and eliminate([]).kernel is None
-    zero = eliminate([{}, {0: 0}])
-    assert zero.rank == 0
-    assert zero.kernel == [Fraction(1), Fraction(0)]
-    single = eliminate([{0: 5}])
-    assert single.independent == (0,) and single.kernel is None
+    assert independent([]) == [] and _first_dependency([]) is None
+    assert independent([{}, {0: 0}]) == []
+    assert _first_dependency([{}, {0: 0}]) == [Fraction(1), Fraction(0)]
+    assert independent([{0: 5}]) == [0] and _first_dependency([{0: 5}]) is None

@@ -13,7 +13,7 @@ from pivot_pin import PIN, solves
 from pivot_pin import record as record_solve
 from stocharray import sample
 from stocharray.bounds import support_size_bound
-from stocharray.certify import enumerate_vertices, independent_groups
+from stocharray.certify import enumerate_vertices
 from stocharray.core import PolytopeSpec, flat_index, uniform_array
 from stocharray.designs import random_latin
 from stocharray.sample import (
@@ -69,8 +69,8 @@ def test_support_bound_values():
 
 
 def test_reduced_constraints_drop_counts():
-    """The LP keeps a row basis: omega has rank n^(d+1) - (n-1)^(d+1),
-    sigma (d+1)(n-1) + 1, and every kept row is pivoted by the start."""
+    """The start has one row per unit of rank, omega n^(d+1) - (n-1)^(d+1)
+    and sigma (d+1)(n-1) + 1, and each row its own basic column."""
     cases = [
         (PolytopeSpec("omega", 3, 1), 1),
         (PolytopeSpec("omega", 3, 2), 8),
@@ -86,9 +86,9 @@ def test_reduced_constraints_drop_counts():
             total_groups = (spec.d + 1) * spec.n**spec.d
         else:
             total_groups = (spec.d + 1) * spec.n
-        assert len(tableau) == total_groups - expect_dropped == len(independent_groups(spec))
+        assert len(tableau) == total_groups - expect_dropped == support_size_bound(spec)
         assert all(len(r) == spec.total_cells + 1 for r in tableau)
-        # full row rank: each row has its own basic column, a unit column
+        # each row has its own basic column, a unit column
         assert len(set(basis)) == len(tableau)
         for r, j in enumerate(basis):
             assert [row[j] for row in tableau] == [int(i == r) for i in range(len(tableau))]
@@ -121,7 +121,7 @@ def test_lp_start_is_the_closed_form_vertex():
                 for row, j in zip(tableau, basis):
                     x[j] = row[-1]
                 assert x == closed_form_vertex(spec), (kind, n, d)
-                assert len(tableau) == len(independent_groups(spec)), (kind, n, d)
+                assert len(tableau) == support_size_bound(spec), (kind, n, d)
 
 
 def test_maximize_matches_the_best_oracle_vertex():

@@ -18,8 +18,18 @@ from stocharray.simplex import SimplexResult, solve_lp, start_at
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def sparse(rows, rhs):
+    """The sparse columns of dense rows, and rhs as one more column."""
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(len(rows[0]))]
+    return columns, {i: b for i, b in enumerate(rhs) if b}
+
+
+def start(rows, rhs, basis):
+    return start_at(*sparse(rows, rhs), basis)
+
+
 def solve(rows, rhs, basis, objective):
-    return solve_lp(start_at(rows, rhs, basis), objective)
+    return solve_lp(start(rows, rhs, basis), objective)
 
 
 def test_result_status_validation():
@@ -58,24 +68,32 @@ def test_unbounded():
 
 def test_dimension_guards():
     with pytest.raises(ValueError):
-        start_at([], [], [])
+        start_at([], {}, [])
     with pytest.raises(ValueError):
-        start_at([[1, 2]], [1, 2], [0])
+        start([[1, 2]], [1], [])  # no basis column
     with pytest.raises(ValueError):
-        start_at([[1, 2], [1]], [1, 2], [0, 1])
+        start([[1, 2]], [1, 2], [0])  # the right-hand side has a row no column has
     with pytest.raises(ValueError):
-        start_at([[1, 2]], [1], [0, 1])  # two basis columns for one row
+        start([[1, 2]], [1], [0, 1])  # two basis columns for one row
     with pytest.raises(ValueError):
-        start_at([[1, 2]], [1], [2])
+        start([[1, 2]], [1], [2])
     with pytest.raises(ValueError):
         solve([[1, 2]], [1], [0], [1])
+
+
+def test_dependent_rows_are_allowed():
+    """A row that repeats another adds nothing: the tableau has one row per
+    basis column, and the optimum is that of the system without it."""
+    res = solve([[1, 1], [2, 2]], [3, 6], [0], [1, 2])
+    assert res.status == "optimal"
+    assert res.objective == 6 and res.solution == (0, 3)
 
 
 BAD_BASES = (
     # the basis columns are dependent
     ([[1, 2, 0], [2, 4, 1]], [1, 3], [0, 1], "dependent"),
-    # the rows are not full rank: no basis can pivot the second row
-    ([[1, 1], [2, 2]], [3, 6], [0, 1], "not full rank"),
+    # one basis column for a rank-2 system: column 1 is outside its span
+    ([[1, 0, 1], [0, 1, 1]], [1, 1], [0], "does not span"),
     # x = (-1, 2) is basic but not feasible
     ([[1, 1, 0], [0, 1, 1]], [1, 2], [0, 1], "negative entry"),
 )
@@ -84,17 +102,18 @@ BAD_BASES = (
 def test_bad_basis_raises_value_error():
     for rows, rhs, basis, message in BAD_BASES:
         with pytest.raises(ValueError, match=message):
-            start_at(rows, rhs, basis)
+            start(rows, rhs, basis)
 
 
 def test_bad_basis_raises_value_error_under_optimize_flag():
     """The start checks are explicit raises, so they hold with asserts stripped."""
+    cases = [(*sparse(rows, rhs), basis, message) for rows, rhs, basis, message in BAD_BASES]
     script = (
         "import sys\n"
         "from stocharray.simplex import start_at\n"
-        f"for rows, rhs, basis, message in {BAD_BASES!r}:\n"
+        f"for columns, rhs, basis, message in {cases!r}:\n"
         "    try:\n"
-        "        start_at(rows, rhs, basis)\n"
+        "        start_at(columns, rhs, basis)\n"
         "    except ValueError as e:\n"
         "        if message not in str(e):\n"
         "            sys.exit(f'wrong message: {e}')\n"
